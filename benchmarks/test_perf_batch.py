@@ -118,10 +118,10 @@ def _bench_policy(policy, batch_pieces, benchmark):
         "sim.decision_batched_lanes", 0
     )
     for counter in (
+        "walk_idle",
         "walk_unique",
         "walk_dedup_hits",
         "walk_delta_hits",
-        "walk_bracket_reuse",
     ):
         benchmark.extra_info[counter] = snapshot.counters.get(
             f"aging.{counter}", 0

@@ -138,6 +138,12 @@ class AgingTable:
         # :meth:`_ages_located`).  Non-monotone (synthetic) tables fall
         # back to the exhaustive comparison.
         self._age_monotone = bool((np.diff(self.values, axis=2) <= 0.0).all())
+        # Physical tables also hold exactly 1.0 along the zero-stress
+        # duty slice; then an idle element's walk has an exact closed
+        # form (see :meth:`repro.aging.walk.WalkEngine.next_health`).
+        self._idle_exact = self._age_monotone and bool(
+            (self.values[:, 0, :] == 1.0).all()
+        )
         self._temp_spans = np.diff(self.temp_grid_k)
         self._duty_spans = np.diff(self.duty_grid)
         self._age_spans = np.diff(self.age_grid_years)
@@ -470,84 +476,6 @@ class AgingTable:
                 (acc > health_b[wide, None]) & live, axis=1
             )
         return count
-
-    def _ages_seeded(
-        self, it, ft, idx_d, fd, health_b, weights, rows, bases, seeds,
-        grid_index,
-    ):
-        """Inverse age lookup warm-started from candidate crossing counts.
-
-        ``seeds`` carries a *guess* of each element's crossing count —
-        in the delta-candidate engine, the count its lane's base row
-        resolved to, which a small thermal perturbation rarely moves.
-        Each guess is verified against the blended curve and accepted
-        only when provably equal to the count :meth:`_crossing_counts`
-        would compute; the rest re-locate through the full machinery.
-        Returns ``(ages, reused)`` where ``reused`` counts the verified
-        seeds; ``ages`` and the filled ``grid_index`` are bit-identical
-        to the unseeded path for *any* integer seed array.
-
-        Soundness of the verification: monotone tables have
-        non-increasing corner curves, the corner weights are
-        non-negative, and rounding-to-nearest is monotone, so the
-        left-to-right IEEE blend is itself non-increasing along the age
-        axis.  The crossing count ``k`` is therefore exactly
-        characterized by its two neighbouring samples — ``blend(k-1) >
-        h`` (when ``k > 0``) and ``blend(k) <= h`` (when ``k < n_y``) —
-        and both live in the two-column gather the interpolation needs
-        anyway, so a verified seed costs nothing beyond that gather.
-        """
-        n_y = len(self.age_grid_years)
-        flat = self._values_flat
-        batch = health_b.shape[0]
-        k = np.minimum(np.maximum(seeds, 0), n_y)  # sanitize wild seeds
-        lo = np.minimum(np.maximum(k - 1, 0), n_y - 2)
-        cols = np.empty((2, batch), dtype=np.intp)
-        cols[0] = lo
-        np.add(lo, 1, out=cols[1])
-        g = flat[bases[:, None, :] + cols]
-        g *= weights[:, None, :]
-        acc = _sum_corners(g)
-        h_lo, h_hi = acc[0], acc[1]  # blend(lo), blend(lo + 1)
-        above_lo = h_lo > health_b
-        above_hi = h_hi > health_b
-        # Interior seeds (1 <= k <= n_y - 1) have lo == k - 1, so the
-        # gather sampled blend(k-1) and blend(k); k == 0 sampled
-        # blend(0) as h_lo, and k == n_y sampled blend(n_y - 1) as h_hi.
-        at_start = k == 0
-        at_end = k == n_y
-        valid = np.where(
-            at_start, ~above_lo, np.where(at_end, above_hi,
-                                          above_lo & ~above_hi)
-        )
-        # The verified elements' interpolation: h_lo/h_hi are exactly
-        # the bracketing columns :meth:`_interpolate_counts` gathers, so
-        # the ops below repeat its per-element products, sums, quotient
-        # and clamps bit for bit.
-        span = h_lo - h_hi
-        frac = np.zeros(batch)
-        np.divide(h_lo - health_b, span, out=frac, where=span > 0)
-        frac = np.minimum(np.maximum(frac, 0.0), 1.0)
-        ages = self.age_grid_years[lo] + frac * self._age_spans[lo]
-        ages = np.where(at_start, 0.0, ages)
-        ages = np.where(at_end, self.max_age_years, ages)
-        grid_index.fill(-1)
-        on = frac == 0.0
-        on &= ~at_start
-        on &= ~at_end
-        grid_index[on] = lo[on]
-        grid_index[at_start] = n_y
-        grid_index[at_end] = n_y - 1
-        moved = np.flatnonzero(~valid)
-        if moved.size:
-            gi_sub = np.empty(moved.size, dtype=np.intp)
-            ages[moved] = self._ages_located(
-                it[moved], ft[moved], idx_d[moved], fd[moved],
-                health_b[moved], weights[:, moved], rows[:, moved],
-                bases[:, moved], grid_index=gi_sub,
-            )
-            grid_index[moved] = gi_sub
-        return ages, batch - int(moved.size)
 
     def _interpolate_counts(
         self, count, health_b, weights, bases, grid_index=None

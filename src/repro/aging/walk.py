@@ -7,7 +7,25 @@ massive *input redundancy* of Algorithm 1's candidate batches: within
 one lockstep round, candidate rows differ from their lane's base
 placement in a single duty/health column plus a thermally-perturbed
 temperature vector, and across rounds/epochs dark cores (duty exactly 0)
-and unchanged placements repeat bit for bit.  Three cooperating layers:
+and unchanged placements repeat bit for bit.  Four cooperating layers:
+
+0. **Idle closed form** (:meth:`WalkEngine._idle_health`): an element
+   with duty at or below the duty grid's first point, a finite
+   temperature and health at most 1 accrues no stress, and on a
+   monotone table whose duty-0 slice is exactly 1.0 (physical tables;
+   ``AgingTable._idle_exact``) its walk reduces to a closed form that
+   reproduces the table's bits.  The duty weight ``fd`` is exactly 0,
+   so the two duty-1 corners carry weight exactly 0 and add ``+0.0``;
+   ``(1-ft)*1.0 + ft*1.0`` rounds to exactly 1.0 for every ``ft`` in
+   [0, 1], so every blended inverse column is 1.0.  A degraded element
+   (h < 1) therefore clamps to the age-axis edge and reads 1.0 back,
+   returning ``h``; a pristine one (h = 1) inverts to age 0 and reads
+   ``S = ((w0*omy + w0*fy) + w2*omy) + w2*fy`` with ``w0 = 1-ft``,
+   ``w2 = ft`` and ``fy`` located at ``0.0 + epoch`` — the eight-corner
+   forward sum with its zero corners dropped, in the same order —
+   returning ``min(S, h)``.  Campaign batches are ~80% idle (dark cores
+   and every not-chosen core of a candidate row), so only the stressed
+   remainder reaches the layers below.
 
 1. **Bit-exact dedup** (:meth:`WalkEngine._walk_deduped`): pack each
    element's (T, d, h) float64 *bit patterns* into an integer key,
@@ -57,8 +75,10 @@ Escape hatches: ``SimulationConfig.walk_dedup`` / CLI
 there, since snapping lives in the engine).
 
 Observability: the engine times itself under ``aging.walk`` and counts
-``aging.walk_unique`` (unique elements after intra-batch dedup — the
-load submitted to the memo/walk layers), ``aging.walk_dedup_hits``
+``aging.walk_idle`` (elements answered by the idle closed form),
+``aging.walk_unique`` (of the rest, unique elements after intra-batch
+dedup — the load submitted to the memo/walk layers),
+``aging.walk_dedup_hits``
 (elements answered by an intra-batch duplicate) and
 ``aging.walk_delta_hits`` (of the unique elements, those answered by
 the cross-call memo instead of a fresh walk).
@@ -80,7 +100,6 @@ __all__ = [
     "configure_walk_engine",
     "current_walk_options",
     "get_walk_engine",
-    "walk_crossing_counts",
     "walk_next_health",
     "walk_options",
 ]
@@ -312,8 +331,7 @@ class WalkEngine:
     # public entry
     # ------------------------------------------------------------------
     def next_health(
-        self, temp_k, duty, current_health, epoch_years, approx_tol=None,
-        seed_counts=None,
+        self, temp_k, duty, current_health, epoch_years, approx_tol=None
     ) -> np.ndarray:
         """Engine-routed :meth:`AgingTable.next_health`.
 
@@ -325,13 +343,8 @@ class WalkEngine:
         of a snapped input always agree; the health error is bounded by
         the table's worst temperature slope times ``tol/2``.
 
-        ``seed_counts`` (same shape as the batch) warm-starts the
-        inverse lookup with guessed age-bracket crossing counts — the
-        delta-candidate engine passes each lane's base-row counts
-        (:meth:`crossing_counts`).  Seeds are verified per element and
-        change no bits (see :meth:`AgingTable._ages_seeded`); seeded
-        batches skip the dedup/memo probes, whose bit-exact keying
-        cannot fire on the perturbed temperatures the seeds exist for.
+        Idle elements (see the module doc) take the closed form when the
+        table admits it; only the rest walk.
         """
         if epoch_years < 0:
             raise ValueError("epoch_years must be non-negative")
@@ -357,80 +370,54 @@ class WalkEngine:
                 # the true temperature, and every element within the
                 # same tol bucket now shares identical bits.
                 t = np.round(t / approx_tol) * approx_tol
-            if seed_counts is not None and self.table._age_monotone:
-                seeds = np.asarray(seed_counts, dtype=np.intp)
-                if seeds.size != t.size:
-                    raise ValueError(
-                        "seed_counts must match the batch element count"
-                    )
-                out = self._walk_seeded(
-                    t, d, h, epoch_years, seeds.reshape(-1), obs
-                )
-            else:
+            table = self.table
+            idle_idx = ()
+            # A NaN epoch propagates through the walk; it gets no shortcut.
+            if table._idle_exact and epoch_years == epoch_years:
+                idle = d <= table.duty_grid[0]
+                idle &= h <= 1.0
+                idle &= np.isfinite(t)
+                idle_idx = np.flatnonzero(idle)
+            if len(idle_idx) == 0:
                 out = self._walk_deduped(t, d, h, epoch_years, obs)
+            else:
+                obs.inc("aging.walk_idle", idle_idx.size)
+                out = np.empty(t.shape[0])
+                out[idle_idx] = self._idle_health(
+                    t[idle_idx], h[idle_idx], epoch_years
+                )
+                if idle_idx.size < t.shape[0]:
+                    busy = np.flatnonzero(~idle)
+                    out[busy] = self._walk_deduped(
+                        t[busy], d[busy], h[busy], epoch_years, obs
+                    )
         return out.reshape(shape)
 
-    def crossing_counts(self, temp_k, duty, current_health):
-        """Age-bracket crossing counts of a base row, for seeding.
+    # ------------------------------------------------------------------
+    # layer 0: idle closed form
+    # ------------------------------------------------------------------
+    def _idle_health(self, t, h, epoch_years) -> np.ndarray:
+        """Next health of idle elements, bit-identical to the walk.
 
-        Returns the exact per-element count
-        :meth:`AgingTable._crossing_counts` computes for these inputs
-        (shape preserved), or ``None`` for non-monotone tables, whose
-        inverse has no count structure to seed.  The counts feed
-        :meth:`next_health` ``seed_counts`` for candidate batches whose
-        temperatures are small perturbations of this base row.
+        Degraded elements keep ``h``; pristine ones read the duty-0
+        forward sum at age ``0.0 + epoch`` (derivation in the module
+        doc).  ``fy`` is the zero-age slot of the shift cache — the very
+        ``_axis_weights`` value the walk locates after its age-0 clamp.
         """
-        table = self.table
-        if not table._age_monotone:
-            return None
-        temp_b = np.atleast_1d(np.asarray(temp_k, dtype=float))
-        duty_b = np.atleast_1d(np.asarray(duty, dtype=float))
-        if temp_b.shape != duty_b.shape:
-            temp_b, duty_b = np.broadcast_arrays(temp_b, duty_b)
-        health = np.atleast_1d(np.asarray(current_health, dtype=float))
-        if health.shape != temp_b.shape:
-            health = np.broadcast_to(health, temp_b.shape)
-        shape = temp_b.shape
-        t = np.ascontiguousarray(temp_b, dtype=float).reshape(-1)
-        d = np.ascontiguousarray(duty_b, dtype=float).reshape(-1)
-        h = np.ascontiguousarray(health, dtype=float).reshape(-1)
-        if t.size == 0:
-            return np.empty(shape, dtype=np.intp)
-        it, ft = _axis_weights(table.temp_grid_k, t, table._temp_spans)
-        idx_d, fd = _axis_weights(table.duty_grid, d, table._duty_spans)
-        weights = table._corner_weights(ft, fd)
-        rows, bases = table._corner_rows(it, idx_d)
-        count = table._crossing_counts(h, weights, rows, bases)
-        return count.reshape(shape)
-
-    def _walk_seeded(self, t, d, h, epoch_years, seeds, obs) -> np.ndarray:
-        """The walk warm-started from guessed crossing counts.
-
-        Structurally :meth:`_walk_core` with the inverse lookup replaced
-        by the verify-or-relocate seeded form — bit-identical for any
-        seeds (:meth:`AgingTable._ages_seeded`).  Skips the shared-bound
-        hoist (the seeded path never computes batch-wide bounds) and
-        counts verified seeds as ``aging.walk_bracket_reuse``.
-        """
-        table = self.table
-        n = t.shape[0]
-        obs.inc("aging.walk_unique", n)
-        it, ft = _axis_weights(table.temp_grid_k, t, table._temp_spans)
-        idx_d, fd = _axis_weights(table.duty_grid, d, table._duty_spans)
-        weights = table._corner_weights(ft, fd)
-        rows, bases = table._corner_rows(it, idx_d)
-        grid_index = np.empty(n, dtype=np.intp)
-        ages, reused = table._ages_seeded(
-            it, ft, idx_d, fd, h, weights, rows, bases, seeds, grid_index
-        )
-        if reused:
-            obs.inc("aging.walk_bracket_reuse", reused)
-        ages += epoch_years
-        iy, fy = self._located_shift(ages, grid_index, epoch_years)
-        new_health = table._health_located(
-            it, ft, idx_d, fd, iy, fy, weights, bases[0]
-        )
-        return np.minimum(new_health, h)
+        out = h.copy()
+        fresh = np.flatnonzero(h == 1.0)
+        if fresh.size:
+            table = self.table
+            _, ft = _axis_weights(table.temp_grid_k, t[fresh], table._temp_spans)
+            fy = self._shift_pair(epoch_years)[1][-1]
+            omy = 1.0 - fy
+            w0 = 1.0 - ft
+            s = w0 * omy
+            s += w0 * fy
+            s += ft * omy
+            s += ft * fy
+            out[fresh] = np.minimum(s, 1.0)
+        return out
 
     # ------------------------------------------------------------------
     # layer 1: bit-exact intra-batch dedup
@@ -652,17 +639,7 @@ class WalkEngine:
         n_on = int(np.count_nonzero(on_grid))
         if n_on * 2 < n:
             return _axis_weights(table.age_grid_years, ages, table._age_spans)
-        key = float(epoch_years).hex()
-        pair = self._shift_cache.get(key)
-        if pair is None:
-            if len(self._shift_cache) >= 64:
-                self._shift_cache.clear()
-            # Slot n_y holds the zero-age clamp (0.0 + epoch), which the
-            # age grid itself need not contain.
-            shifted = np.append(table.age_grid_years, 0.0) + epoch_years
-            pair = _axis_weights(table.age_grid_years, shifted, table._age_spans)
-            self._shift_cache[key] = pair
-        iy_all, fy_all = pair
+        iy_all, fy_all = self._shift_pair(epoch_years)
         iy = np.empty(n, dtype=np.intp)
         fy = np.empty(n)
         gi = grid_index[on_grid]
@@ -677,6 +654,21 @@ class WalkEngine:
             fy[off] = fy_o
         return iy, fy
 
+    def _shift_pair(self, epoch_years):
+        """``_axis_weights`` of every grid age plus ``epoch`` (cached)."""
+        key = float(epoch_years).hex()
+        pair = self._shift_cache.get(key)
+        if pair is None:
+            if len(self._shift_cache) >= 64:
+                self._shift_cache.clear()
+            # Slot n_y holds the zero-age clamp (0.0 + epoch), which the
+            # age grid itself need not contain.
+            table = self.table
+            shifted = np.append(table.age_grid_years, 0.0) + epoch_years
+            pair = _axis_weights(table.age_grid_years, shifted, table._age_spans)
+            self._shift_cache[key] = pair
+        return pair
+
 
 def get_walk_engine(table: AgingTable) -> WalkEngine:
     """The table's cached engine, created lazily on first use."""
@@ -688,37 +680,20 @@ def get_walk_engine(table: AgingTable) -> WalkEngine:
 
 
 def walk_next_health(
-    table, temp_k, duty, current_health, epoch_years, seed_counts=None
+    table, temp_k, duty, current_health, epoch_years
 ) -> np.ndarray:
     """:meth:`AgingTable.next_health` routed through the walk engine.
 
     The single entry point the estimation layers call: honors the
     current :class:`WalkOptions` — ``dedup=False`` (the
     ``--no-walk-dedup`` escape hatch) goes straight to the table method,
-    bypassing the engine (including any approximate mode, which lives in
-    the engine's keying); otherwise the engine walks with the options'
-    tolerance.  ``seed_counts`` (from :func:`walk_crossing_counts`)
-    warm-starts the inverse lookup; it is verified per element, changes
-    no bits, and is ignored when the engine is bypassed.
+    bypassing the engine (including its idle closed form and any
+    approximate mode, which lives in the engine's keying); otherwise the
+    engine walks with the options' tolerance.
     """
     opts = current_walk_options()
     if not opts.dedup:
         return table.next_health(temp_k, duty, current_health, epoch_years)
     return get_walk_engine(table).next_health(
-        temp_k, duty, current_health, epoch_years, approx_tol=opts.approx_tol,
-        seed_counts=seed_counts,
+        temp_k, duty, current_health, epoch_years, approx_tol=opts.approx_tol
     )
-
-
-def walk_crossing_counts(table, temp_k, duty, current_health):
-    """Base-row age-bracket crossing counts for seeding later walks.
-
-    Returns ``None`` when the engine is bypassed (``dedup=False``) or
-    the table is non-monotone — callers simply skip seeding then.  The
-    counts are exact for these inputs; a candidate whose temperature
-    perturbation moves its bracket is detected and relocated during the
-    seeded walk, so stale counts cost a fallback, never a wrong answer.
-    """
-    if not current_walk_options().dedup:
-        return None
-    return get_walk_engine(table).crossing_counts(temp_k, duty, current_health)

@@ -50,10 +50,6 @@ keeps, argmax winners), campaign results are bit-identical to the dense
 path whenever no choice flips — and ``--no-delta-candidates`` restores
 the dense path exactly.
 
-The walk side of the round (bracket warm-start seeding) lives in
-:mod:`repro.aging.walk`; the mappers connect the two by passing the base
-row's crossing counts as ``seed_counts``.
-
 Observability: the mappers time the delta evaluation under
 ``sim.delta_eval`` and count ``sim.delta_rounds`` (lockstep rounds that
 took the delta path).

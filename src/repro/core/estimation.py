@@ -15,7 +15,7 @@ import enum
 import numpy as np
 
 from repro.aging.tables import AgingTable
-from repro.aging.walk import walk_crossing_counts, walk_next_health
+from repro.aging.walk import walk_next_health
 from repro.thermal.predictor import ThermalPredictor
 
 
@@ -108,61 +108,30 @@ class OnlineHealthEstimator:
             freq_ghz, activity, powered_on, initial_temps_k=current_temps_k
         )
 
-    def seed_crossing_counts(
-        self,
-        temps_k: np.ndarray,
-        duties: np.ndarray,
-        current_health: np.ndarray,
-    ) -> np.ndarray | None:
-        """Age-bracket crossing counts of a base chip state.
-
-        Resolves the duty assumption exactly as
-        :meth:`estimate_next_health` does, then asks the walk engine for
-        the counts (:func:`repro.aging.walk.walk_crossing_counts`).  The
-        delta-candidate engine passes these as ``seed_counts`` when
-        walking candidate batches derived from the base state; ``None``
-        (engine bypassed, non-monotone table) simply disables seeding.
-        """
-        duties = self.resolve_duties(duties)
-        return walk_crossing_counts(
-            self.table, temps_k, duties, current_health
-        )
-
     def estimate_next_health(
         self,
         temps_k: np.ndarray,
         duties: np.ndarray,
         current_health: np.ndarray,
         epoch_years: float,
-        seed_counts: np.ndarray | None = None,
     ) -> np.ndarray:
         """Next-epoch health map (the 10 us primitive).
 
         Accepts flat per-core vectors or ``(batch, num_cores)`` matrices
-        (every batch row shares ``current_health``).  ``seed_counts``
-        (matching shape) warm-starts the table walk's inverse lookup —
-        verified per element, it never changes results (see
-        :meth:`repro.aging.tables.AgingTable._ages_seeded`).
+        (every batch row shares ``current_health``).
         """
         temps_k = np.asarray(temps_k, dtype=float)
         duties = self.resolve_duties(duties)
         current_health = np.asarray(current_health, dtype=float)
         if temps_k.ndim == 1:
             return walk_next_health(
-                self.table, temps_k, duties, current_health, epoch_years,
-                seed_counts=seed_counts,
+                self.table, temps_k, duties, current_health, epoch_years
             )
         batch, n = temps_k.shape
         flat_health = np.broadcast_to(current_health, (batch, n)).reshape(-1)
-        seeds = (
-            np.asarray(seed_counts).reshape(-1)
-            if seed_counts is not None
-            else None
-        )
         out = walk_next_health(
             self.table,
             temps_k.reshape(-1), duties.reshape(-1), flat_health, epoch_years,
-            seed_counts=seeds,
         )
         return out.reshape(batch, n)
 
@@ -172,7 +141,6 @@ class OnlineHealthEstimator:
         duties: np.ndarray,
         health_rows: np.ndarray,
         epoch_years: float,
-        seed_counts: np.ndarray | None = None,
     ) -> np.ndarray:
         """Batched next-health where each row carries its *own* health.
 
@@ -192,17 +160,11 @@ class OnlineHealthEstimator:
                 "(batch, num_cores) matrices"
             )
         batch, n = temps_k.shape
-        seeds = (
-            np.asarray(seed_counts).reshape(-1)
-            if seed_counts is not None
-            else None
-        )
         out = walk_next_health(
             self.table,
             temps_k.reshape(-1),
             duties.reshape(-1),
             health_rows.reshape(-1),
             epoch_years,
-            seed_counts=seeds,
         )
         return out.reshape(batch, n)

@@ -141,8 +141,7 @@ class HayatMapper:
         # semantics (subclasses fall back to the dense path they
         # define) and the process/context option.  The evaluator solves
         # the incumbent placement once per round and reconstructs each
-        # candidate's temperatures from its rank-1 power change; the
-        # base row's crossing counts seed the aging-table walk.
+        # candidate's temperatures from its rank-1 power change.
         opts = current_delta_options()
         evaluator = (
             DeltaEvaluator(self.estimator.predictor)
@@ -163,7 +162,6 @@ class HayatMapper:
         act_buf = np.empty((n, n))
         duty_buf = np.empty((n, n))
         all_rows = np.arange(n)
-        seed_base = None  # walk seeds, computed on the first delta round
 
         for thread_index in order:
             if state.core_of_thread(thread_index) >= 0:
@@ -204,15 +202,6 @@ class HayatMapper:
                         candidates,
                         np.full(batch, new_dyn),
                     )
-                    if seed_base is None:
-                        # Computed once per mapping pass: seeds are
-                        # verified per element, so the later rounds'
-                        # slightly stale counts cost a few relocations,
-                        # not correctness (health_now never changes
-                        # within a pass and temperatures drift slowly).
-                        seed_base = self.estimator.seed_crossing_counts(
-                            base.final[0], duties, health_now
-                        )
                 obs.inc("sim.delta_rounds")
             else:
                 freq_b = freq_buf[:batch]
@@ -242,14 +231,8 @@ class HayatMapper:
                 keep = np.array([int(np.argmin(tmax))])
                 temps_keep, duty_keep = temps_b[keep], duty_b[keep]
 
-            seeds_keep = (
-                np.broadcast_to(seed_base, (len(keep), n))
-                if seed_base is not None
-                else None
-            )
             health_b = self.estimator.estimate_next_health(
-                temps_keep, duty_keep, health_now, epoch_years,
-                seed_counts=seeds_keep,
+                temps_keep, duty_keep, health_now, epoch_years
             )
             kept_cores = candidates[keep]
             h_candidate_next = health_b[all_rows[: len(keep)], kept_cores]

@@ -134,7 +134,6 @@ class _LaneRun:
         "temps", "freq", "activity", "duties", "powered", "assignment",
         "order", "pos", "comm", "unmapped", "leak_scale",
         "thread_index", "thread", "candidates", "keep", "temps_b",
-        "seed_counts",
     )
 
     def __init__(self, lane: MapperLane):
@@ -179,7 +178,6 @@ class _LaneRun:
         )
         self.unmapped: list[int] = []
         self.leak_scale = mapper.estimator.predictor.power_model.leakage_scale
-        self.seed_counts: np.ndarray | None = None
 
     def next_request(self) -> bool:
         """Advance to this lane's next placeable thread.
@@ -344,7 +342,6 @@ def _map_group(runs: list[_LaneRun], epoch_years: float) -> None:
         duty_all = duties_l[row_lane]
         duty_all[rows, cand_cols] = duty_vec[row_lane]
 
-        seed_lanes = None
         # Cost gate mirroring the sequential mapper's: the stacked base
         # solve pays for itself only when the dense work it replaces
         # (total candidate rows x n) is large enough.
@@ -357,32 +354,6 @@ def _map_group(runs: list[_LaneRun], epoch_years: float) -> None:
                 temps_all = evaluator.candidate_temps(
                     base, row_lane, cand_cols, new_dyn
                 )
-                # Walk seeds are computed once per lane (first round)
-                # and reused: `_ages_seeded` verifies every element, so
-                # a stale count costs a relocation, not correctness.
-                missing = [
-                    li
-                    for li, run in enumerate(active)
-                    if run.seed_counts is None
-                ]
-                fresh = (
-                    est0.seed_crossing_counts(
-                        base.final[missing],
-                        duties_l[missing],
-                        health_l[missing],
-                    )
-                    if missing
-                    else None
-                )
-                if missing and fresh is None:
-                    seed_lanes = None  # non-monotone table: no seeds
-                else:
-                    if missing:
-                        for row, li in enumerate(missing):
-                            active[li].seed_counts = fresh[row]
-                    seed_lanes = np.stack(
-                        [run.seed_counts for run in active]
-                    )
             obs.inc("sim.delta_rounds")
         else:
             freq_all = freq_l[row_lane]
@@ -428,11 +399,9 @@ def _map_group(runs: list[_LaneRun], epoch_years: float) -> None:
         temps_kept = temps_all[keep_global]
         duty_kept = duty_all[keep_global]
         health_rows = health_l[kept_lane]
-        seed_rows = seed_lanes[kept_lane] if seed_lanes is not None else None
 
         health_all = est0.estimate_next_health_rows(
-            temps_kept, duty_kept, health_rows, epoch_years,
-            seed_counts=seed_rows,
+            temps_kept, duty_kept, health_rows, epoch_years
         )
 
         # Eq. 9 over all kept rows in one sweep: per-lane scalars

@@ -318,6 +318,9 @@ class BatchLifetimeSimulator:
                 active = still
                 if not active:
                     break
+            else:
+                # Rounds ran out with DTM still firing on these lanes.
+                obs.inc("sim.settle_unconverged", len(active))
             for lane in lanes:
                 obs.inc("sim.settle_rounds", lane.settle_rounds)
 

@@ -79,10 +79,8 @@ class SimulationConfig:
     delta_candidates:
         Evaluate Algorithm 1 candidate placements incrementally
         (:mod:`repro.core.delta_eval`): one base thermal solve per
-        round plus per-candidate rank-1 updates, and bracket
-        warm-started aging-table walks.  The walk seeding changes no
-        bits; the thermal reconstruction linearizes the off-column
-        leakage response (millikelvin-scale deviation, asserted in
+        round plus per-candidate rank-1 updates.  The thermal
+        reconstruction linearizes the off-column leakage response (millikelvin-scale deviation, asserted in
         tests), so mapping decisions can in principle differ from the
         dense path near exact ties.  ``False`` (CLI
         ``--no-delta-candidates``) restores the dense per-candidate

@@ -196,6 +196,9 @@ class LifetimeSimulator:
                     )
                 if report.events == 0:
                     break
+            else:
+                # Rounds ran out with DTM still firing.
+                obs.inc("sim.settle_unconverged")
             obs.inc("sim.settle_rounds", settle_round + 1)
 
         all_nodes = ctx.network.initial_temperatures()

@@ -5,6 +5,16 @@ coupled operating point is the fixed point of that loop.  For the operating
 region of interest the loop gain is well below 1, so simple Picard
 iteration converges in a handful of passes (a diverging iteration is the
 signature of thermal runaway and is reported as such).
+
+A damped iterate can also lock into a limit cycle that straddles the
+tolerance (one VAA settle state oscillated ~0.052 K around
+``tol_k = 0.05`` for all 400 passes).  A solve that runs out of
+iterations without diverging therefore continues from its last iterate
+with the damping halved, up to :data:`DAMPING_HALVINGS` times, before
+it raises.  The tolerance halves with the damping, so every pass still
+stops on the same fixed-point residual ``|target - T| < tol_k /
+damping``.  Solves that converge never reach this path, so their
+results are bit-identical to the plain iteration.
 """
 
 from __future__ import annotations
@@ -14,6 +24,11 @@ import numpy as np
 from repro.obs import get_registry
 from repro.power.model import PowerBreakdown, PowerModel
 from repro.thermal.rcnet import ThermalRCNetwork
+
+
+#: Restarts with halved damping granted to a solve that exhausts
+#: ``max_iter`` without diverging.
+DAMPING_HALVINGS = 3
 
 
 class ThermalRunawayError(RuntimeError):
@@ -34,8 +49,10 @@ def solve_coupled_steady_state(
 
     Uses damped Picard iteration (``damping`` is the fraction of the new
     iterate blended in each pass); the saturating leakage fit guarantees
-    a fixed point exists, so failure to converge indicates a modelling
-    bug and raises :class:`ThermalRunawayError`.
+    a fixed point exists.  A limit cycle earns up to
+    :data:`DAMPING_HALVINGS` restarts at halved damping (see the module
+    doc); failure to converge after them indicates a modelling bug and
+    raises :class:`ThermalRunawayError`.
 
     Returns ``(core_temps_k, power_breakdown)``.
     """
@@ -45,21 +62,32 @@ def solve_coupled_steady_state(
     obs.inc("thermal.coupled_solves")
     temps = np.full(network.num_cores, network.config.ambient_k)
     delta = np.inf
-    for iteration in range(max_iter):
-        breakdown = power_model.evaluate(freq_ghz, activity, temps, powered_on)
-        target = network.steady_state(breakdown.total_w)
-        if not np.isfinite(target).all():
-            raise ThermalRunawayError(
-                "leakage-temperature iteration diverged (thermal runaway)"
-            )
-        new_temps = temps + damping * (target - temps)
-        delta = float(np.abs(new_temps - temps).max())
-        temps = new_temps
-        if delta < tol_k:
-            obs.inc("thermal.coupled_iterations", iteration + 1)
-            return temps, power_model.evaluate(freq_ghz, activity, temps, powered_on)
+    iterations = 0
+    for halving in range(DAMPING_HALVINGS + 1):
+        if halving:
+            # Out of iterations without diverging: a limit cycle.
+            damping *= 0.5
+            tol_k *= 0.5
+            obs.inc("thermal.coupled_damping_halvings")
+        for _ in range(max_iter):
+            breakdown = power_model.evaluate(freq_ghz, activity, temps, powered_on)
+            target = network.steady_state(breakdown.total_w)
+            if not np.isfinite(target).all():
+                raise ThermalRunawayError(
+                    "leakage-temperature iteration diverged (thermal runaway)"
+                )
+            new_temps = temps + damping * (target - temps)
+            delta = float(np.abs(new_temps - temps).max())
+            temps = new_temps
+            iterations += 1
+            if delta < tol_k:
+                obs.inc("thermal.coupled_iterations", iterations)
+                return temps, power_model.evaluate(
+                    freq_ghz, activity, temps, powered_on
+                )
     raise ThermalRunawayError(
-        f"no convergence within {max_iter} iterations (last delta {delta:.3f} K)"
+        f"no convergence within {max_iter} iterations and "
+        f"{DAMPING_HALVINGS} damping halvings (last delta {delta:.3f} K)"
     )
 
 
@@ -114,33 +142,40 @@ def solve_coupled_steady_state_batch(
     temps = np.full((batch, network.num_cores), network.config.ambient_k)
     active = np.arange(batch)
     iterations = np.zeros(batch, dtype=int)
-    for iteration in range(max_iter):
-        breakdown = power_model.evaluate_batch(
-            freq_ghz[active],
-            activity[active],
-            temps[active],
-            powered_on[active],
-            leakage_scale=(
-                None if leakage_scale is None else leakage_scale[active]
-            ),
-        )
-        target = network.steady_state_batch(breakdown.total_w)
-        if not np.isfinite(target).all():
-            raise ThermalRunawayError(
-                "leakage-temperature iteration diverged (thermal runaway)"
+    for halving in range(DAMPING_HALVINGS + 1):
+        if halving:
+            # Only the cycling rows continue; converged rows stay frozen.
+            damping *= 0.5
+            tol_k *= 0.5
+            obs.inc("thermal.coupled_damping_halvings", active.size)
+        for _ in range(max_iter):
+            breakdown = power_model.evaluate_batch(
+                freq_ghz[active],
+                activity[active],
+                temps[active],
+                powered_on[active],
+                leakage_scale=(
+                    None if leakage_scale is None else leakage_scale[active]
+                ),
             )
-        new_temps = temps[active] + damping * (target - temps[active])
-        delta = np.abs(new_temps - temps[active]).max(axis=1)
-        temps[active] = new_temps
-        iterations[active] = iteration + 1
-        active = active[delta >= tol_k]
-        if active.size == 0:
-            obs.inc("thermal.coupled_iterations", int(iterations.sum()))
-            return temps, power_model.evaluate_batch(
-                freq_ghz, activity, temps, powered_on,
-                leakage_scale=leakage_scale,
-            )
+            target = network.steady_state_batch(breakdown.total_w)
+            if not np.isfinite(target).all():
+                raise ThermalRunawayError(
+                    "leakage-temperature iteration diverged (thermal runaway)"
+                )
+            new_temps = temps[active] + damping * (target - temps[active])
+            delta = np.abs(new_temps - temps[active]).max(axis=1)
+            temps[active] = new_temps
+            iterations[active] += 1
+            active = active[delta >= tol_k]
+            if active.size == 0:
+                obs.inc("thermal.coupled_iterations", int(iterations.sum()))
+                return temps, power_model.evaluate_batch(
+                    freq_ghz, activity, temps, powered_on,
+                    leakage_scale=leakage_scale,
+                )
     raise ThermalRunawayError(
-        f"no convergence within {max_iter} iterations "
+        f"no convergence within {max_iter} iterations and "
+        f"{DAMPING_HALVINGS} damping halvings "
         f"({active.size} of {batch} rows unconverged)"
     )

@@ -1,12 +1,13 @@
 """The deduplicating, delta-aware walk engine (`repro.aging.walk`).
 
 The engine's contract is strict: in the default (exact) mode, every
-path through it — intra-batch dedup scatter, cross-call memo hits,
-shared count bounds, the fused age-shift lookup, and every adaptive
-cost heuristic in between — must return arrays *bit-identical* to
-:meth:`repro.aging.tables.AgingTable.next_health`.  These tests pin
-that equality across random monotone and non-monotone tables, forced
-duplicate batches, dark cores, clamped ages and mixed shapes, plus the
+path through it — the idle closed form, intra-batch dedup scatter,
+cross-call memo hits, shared count bounds, the fused age-shift lookup,
+and every adaptive cost heuristic in between — must return arrays
+*bit-identical* to :meth:`repro.aging.tables.AgingTable.next_health`.
+These tests pin that equality across random monotone and non-monotone
+tables, forced duplicate batches, idle-heavy batches, dark cores,
+clamped ages and mixed shapes, plus the
 approximate mode's documented error bound and the config/CLI escape
 hatches.
 """
@@ -25,7 +26,6 @@ from repro.aging.walk import (
     WalkEngine,
     WalkOptions,
     get_walk_engine,
-    walk_crossing_counts,
     walk_next_health,
     walk_options,
 )
@@ -87,7 +87,10 @@ class TestDedupBitIdentity:
     def test_forced_duplicates_scatter(self, aging_table):
         rng = np.random.default_rng(0)
         engine = _fresh_engine(aging_table)
-        base_t, base_d, base_h = _random_batch(rng, 60, aging_table)
+        # No dark cores: idle elements never reach the dedup layer.
+        base_t, base_d, base_h = _random_batch(
+            rng, 60, aging_table, dark_frac=0.0
+        )
         reps = rng.integers(0, 60, 480)  # heavy duplication, shuffled
         t, d, h = base_t[reps], base_d[reps], base_h[reps]
         registry = MetricsRegistry()
@@ -430,101 +433,169 @@ class TestApproxMode:
         )
 
 
-class TestSeededWalk:
-    """Bracket warm-start: bit-identical for ANY seeds, fast for good ones."""
+def _idle_exact_table(rng) -> AgingTable:
+    """A random monotone table whose duty-0 slice is exactly 1.0."""
+    base = _random_monotone_table(rng)
+    values = base.values.copy()
+    values[:, 0, :] = 1.0
+    table = AgingTable(
+        base.temp_grid_k, base.duty_grid, base.age_grid_years, values
+    )
+    assert table._idle_exact
+    return table
 
-    def test_exact_seeds_bit_identical_and_reused(self, aging_table):
+
+def _idle_heavy_batch(rng, n, table):
+    """Mostly idle elements, pristine and degraded, at awkward temps.
+
+    Temperatures land on grid points, below and above the grid, and a
+    few are NaN (those must walk); some duties are negative (clipped to
+    the duty grid, so idle too).
+    """
+    grid = table.temp_grid_k
+    t = rng.uniform(grid[0] - 20.0, grid[-1] + 20.0, n)
+    on_grid = rng.random(n) < 0.2
+    t[on_grid] = rng.choice(grid, int(on_grid.sum()))
+    t[rng.random(n) < 0.03] = np.nan
+    d = rng.uniform(0.0, 1.0, n)
+    d[rng.random(n) < 0.8] = 0.0
+    d[rng.random(n) < 0.05] = -0.25
+    h = rng.uniform(0.5, 1.0, n)
+    h[rng.random(n) < 0.45] = 1.0
+    return t, d, h
+
+
+def _idle_mask(table, t, d, h):
+    return (d <= table.duty_grid[0]) & (h <= 1.0) & np.isfinite(t)
+
+
+class TestIdleClosedForm:
+    """Idle elements skip the walk; results stay bit-identical."""
+
+    def test_fuzz_idle_heavy_batches(self, aging_table):
+        """Batch size 1 (``_sum_corners``' explicit-loop branch in the
+        table walk) through large batches, epochs from 0 to past the
+        age grid, on the default and random idle-exact tables."""
         rng = np.random.default_rng(20)
+        tables = [aging_table] + [_idle_exact_table(rng) for _ in range(4)]
+        for table in tables:
+            engine = _fresh_engine(table)
+            beyond = 2.0 * table.max_age_years  # past the age grid
+            for _ in range(40):
+                n = int(rng.choice([1, 2, 7, 200, 2000]))
+                t, d, h = _idle_heavy_batch(rng, n, table)
+                epoch = float(rng.choice([0.0, 0.25, 0.5, 3.0, beyond]))
+                registry = MetricsRegistry()
+                with use_registry(registry):
+                    got = engine.next_health(t, d, h, epoch)
+                np.testing.assert_array_equal(
+                    got, table.next_health(t, d, h, epoch)
+                )
+                idle = int(_idle_mask(table, t, d, h).sum())
+                assert registry.counter("aging.walk_idle") == idle
+
+    def test_closed_form_values_and_counter(self, aging_table):
         engine = _fresh_engine(aging_table)
-        t, d, h = _random_batch(rng, 400, aging_table)
-        counts = engine.crossing_counts(t, d, h)
-        assert counts is not None and counts.shape == t.shape
+        t = np.array([250.0, 300.0, 358.0, 430.0, 500.0, 345.5])
+        d = np.zeros(6)
+        degraded = np.array([0.9, 0.5, 0.97, 0.8, 0.7, 0.999])
         registry = MetricsRegistry()
         with use_registry(registry):
-            got = engine.next_health(t, d, h, 0.5, seed_counts=counts)
+            got = engine.next_health(t, d, degraded, 0.5)
+            fresh = engine.next_health(t, d, np.ones(6), 0.0)
+        # No stress: a degraded idle core keeps its health, a pristine
+        # one stays pristine over an empty epoch.
+        np.testing.assert_array_equal(got, degraded)
+        np.testing.assert_array_equal(fresh, np.ones(6))
+        counters = registry.snapshot().counters
+        assert counters["aging.walk_idle"] == 12
+        assert "aging.walk_unique" not in counters
+
+    def test_mixed_batch_splits_counters(self, aging_table):
+        rng = np.random.default_rng(21)
+        engine = _fresh_engine(aging_table)
+        t, d, h = _random_batch(rng, 400, aging_table, dark_frac=0.5)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            got = engine.next_health(t, d, h, 0.5)
         np.testing.assert_array_equal(
             got, aging_table.next_health(t, d, h, 0.5)
         )
         counters = registry.snapshot().counters
-        # Seeds from the very same state verify nearly everywhere (the
-        # few exceptions are grid-point sentinels the seeded gather
-        # cannot express).
-        assert counters["aging.walk_bracket_reuse"] >= 0.9 * t.size
-        assert counters["aging.walk_unique"] == t.size
+        idle = int(_idle_mask(aging_table, t, d, h).sum())
+        assert 0 < idle < t.size
+        assert counters["aging.walk_idle"] == idle
+        walked = counters["aging.walk_unique"]
+        assert walked + counters.get("aging.walk_dedup_hits", 0) == t.size - idle
 
-    def test_garbage_seeds_fuzz_bit_identical(self):
-        """Any integer seeds — wild, negative, out of range — must be
-        verified away without changing a single bit."""
-        rng = np.random.default_rng(21)
-        for _ in range(8):
-            table = _random_monotone_table(rng)
-            engine = _fresh_engine(table)
-            t, d, h = _random_batch(rng, 250, table)
-            n_y = table.age_grid_years.size
-            seeds = rng.integers(-5, 3 * n_y, t.size)
-            got = engine.next_health(t, d, h, 0.5, seed_counts=seeds)
-            np.testing.assert_array_equal(
-                got, table.next_health(t, d, h, 0.5)
-            )
-
-    def test_perturbed_temps_with_base_seeds(self, aging_table):
-        """The delta-engine scenario: candidate temperatures are small
-        perturbations of the base row whose counts seeded the walk."""
+    def test_approx_mode_walks_snapped_temperatures(self, aging_table):
         rng = np.random.default_rng(22)
         engine = _fresh_engine(aging_table)
-        t, d, h = _random_batch(rng, 300, aging_table)
-        counts = engine.crossing_counts(t, d, h)
-        t_pert = t + rng.uniform(-2.0, 2.0, t.size)
+        tol = 2.0
+        for _ in range(10):
+            t, d, h = _idle_heavy_batch(rng, 300, aging_table)
+            snapped = np.round(t / tol) * tol
+            np.testing.assert_array_equal(
+                engine.next_health(t, d, h, 0.5, approx_tol=tol),
+                aging_table.next_health(snapped, d, h, 0.5),
+            )
+
+    def test_property_off_walks_everything(self):
+        rng = np.random.default_rng(23)
+        tables = [_random_monotone_table(rng)]  # duty-0 curves below 1.0
+        values = _idle_exact_table(rng).values.copy()
+        values[2, 0, -1] = 0.999  # one stored point off 1.0
+        tables.append(AgingTable(
+            tables[0].temp_grid_k, tables[0].duty_grid,
+            tables[0].age_grid_years, values,
+        ))
+        for table in tables:
+            assert table._age_monotone and not table._idle_exact
+            engine = _fresh_engine(table)
+            t, d, h = _idle_heavy_batch(rng, 500, table)
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                got = engine.next_health(t, d, h, 0.5)
+            np.testing.assert_array_equal(got, table.next_health(t, d, h, 0.5))
+            assert registry.counter("aging.walk_idle") == 0
+
+    def test_nonmonotone_table_walks_everything(self):
+        rng = np.random.default_rng(24)
+        values = _random_nonmonotone_table(rng).values.copy()
+        values[:, 0, :] = 1.0  # idle slice exact, but the table is not
+        table = AgingTable(
+            np.array([290.0, 330.0, 370.0, 410.0]),
+            np.array([0.0, 0.2, 0.5, 0.8, 1.0]),
+            np.array([0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0]),
+            values,
+        )
+        assert not table._age_monotone and not table._idle_exact
+        engine = _fresh_engine(table)
+        t, d, h = _idle_heavy_batch(rng, 200, table)
         registry = MetricsRegistry()
         with use_registry(registry):
-            got = engine.next_health(
-                t_pert, d, h, 0.5, seed_counts=counts
-            )
-        np.testing.assert_array_equal(
-            got, aging_table.next_health(t_pert, d, h, 0.5)
-        )
-        # Small thermal perturbations rarely move the age bracket, so
-        # most seeds still verify.
-        counters = registry.snapshot().counters
-        assert counters["aging.walk_bracket_reuse"] > 0.5 * t.size
-
-    def test_seed_length_mismatch_rejected(self, aging_table):
-        engine = _fresh_engine(aging_table)
-        rng = np.random.default_rng(23)
-        t, d, h = _random_batch(rng, 50, aging_table)
-        with pytest.raises(ValueError):
-            engine.next_health(
-                t, d, h, 0.5, seed_counts=np.zeros(49, dtype=np.intp)
-            )
-
-    def test_nonmonotone_table_ignores_seeds(self):
-        rng = np.random.default_rng(24)
-        table = _random_nonmonotone_table(rng)
-        engine = _fresh_engine(table)
-        assert engine.crossing_counts(
-            np.array([300.0]), np.array([0.5]), np.array([0.9])
-        ) is None
-        t, d, h = _random_batch(rng, 200, table)
-        seeds = rng.integers(0, 8, t.size)
-        got = engine.next_health(t, d, h, 0.5, seed_counts=seeds)
+            got = engine.next_health(t, d, h, 0.5)
         np.testing.assert_array_equal(got, table.next_health(t, d, h, 0.5))
+        assert registry.counter("aging.walk_idle") == 0
 
-    def test_module_function_respects_dedup_hatch(self, aging_table):
+    def test_dedup_hatch_bypasses_closed_form(self, aging_table):
         rng = np.random.default_rng(25)
-        t, d, h = _random_batch(rng, 60, aging_table)
-        counts = walk_crossing_counts(aging_table, t, d, h)
-        assert counts is not None
-        with walk_options(dedup=False):
-            # The hatch bypasses the engine entirely: no counts to
-            # seed with, and seeds passed anyway are ignored.
-            assert walk_crossing_counts(aging_table, t, d, h) is None
-            out = walk_next_health(
-                aging_table, t, d, h, 0.5, seed_counts=counts
-            )
+        t, d, h = _idle_heavy_batch(rng, 60, aging_table)
+        registry = MetricsRegistry()
+        with use_registry(registry), walk_options(dedup=False):
+            out = walk_next_health(aging_table, t, d, h, 0.5)
         np.testing.assert_array_equal(
             out, aging_table.next_health(t, d, h, 0.5)
         )
+        assert registry.counter("aging.walk_idle") == 0
 
+    def test_nan_epoch_walks_everything(self, aging_table):
+        engine = _fresh_engine(aging_table)
+        t, d, h = np.array([300.0, 300.0]), np.zeros(2), np.array([1.0, 0.9])
+        np.testing.assert_array_equal(
+            engine.next_health(t, d, h, float("nan")),
+            aging_table.next_health(t, d, h, float("nan")),
+        )
 
 class TestProbeBypass:
     """The dedup/memo probes step aside when they cannot pay for
@@ -533,7 +604,9 @@ class TestProbeBypass:
     def test_small_batch_bypasses_probes(self, aging_table):
         rng = np.random.default_rng(26)
         engine = _fresh_engine(aging_table)
-        base_t, base_d, base_h = _random_batch(rng, 20, aging_table)
+        base_t, base_d, base_h = _random_batch(
+            rng, 20, aging_table, dark_frac=0.0
+        )
         reps = rng.integers(0, 20, _PROBE_FLOOR - 1)  # heavy duplication
         t, d, h = base_t[reps], base_d[reps], base_h[reps]
         registry = MetricsRegistry()
@@ -559,7 +632,9 @@ class TestProbeBypass:
             engine.next_health(t, d, h, 0.5)
         assert engine._probe_holdoff == _PROBE_HOLDOFF
 
-        base_t, base_d, base_h = _random_batch(rng, 40, aging_table)
+        base_t, base_d, base_h = _random_batch(
+            rng, 40, aging_table, dark_frac=0.0
+        )
         reps = rng.integers(0, 40, 320)
         t, d, h = base_t[reps], base_d[reps], base_h[reps]
         registry = MetricsRegistry()
@@ -587,23 +662,27 @@ class TestProbeBypass:
         )
         assert registry.snapshot().counters["aging.walk_dedup_hits"] > 0
 
-    def test_seeded_walk_skips_probes(self, aging_table):
-        """Seeded batches go straight to the seeded walk — duplicates
-        are not even probed for (candidate temps are all distinct by
-        construction; the probe would never pay)."""
+    def test_idle_elements_skip_probes(self, aging_table):
+        """Idle elements are answered before the dedup/memo probes, so
+        only the stressed remainder is probed and counted there."""
         rng = np.random.default_rng(28)
         engine = _fresh_engine(aging_table)
         base_t, base_d, base_h = _random_batch(rng, 30, aging_table)
-        reps = rng.integers(0, 30, 300)
+        base_d[:10] = 0.0
+        base_d[10:] = rng.uniform(0.1, 1.0, 20)
+        reps = rng.integers(0, 30, 600)
         t, d, h = base_t[reps], base_d[reps], base_h[reps]
-        counts = engine.crossing_counts(t, d, h)
         registry = MetricsRegistry()
         with use_registry(registry):
-            got = engine.next_health(t, d, h, 0.5, seed_counts=counts)
+            got = engine.next_health(t, d, h, 0.5)
         np.testing.assert_array_equal(
             got, aging_table.next_health(t, d, h, 0.5)
         )
         counters = registry.snapshot().counters
-        assert counters["aging.walk_unique"] == 300
-        assert counters.get("aging.walk_dedup_hits", 0) == 0
-        assert counters["aging.walk_bracket_reuse"] >= 0.9 * 300
+        idle = int(np.count_nonzero(d == 0.0))
+        assert counters["aging.walk_idle"] == idle
+        assert counters["aging.walk_unique"] <= 20
+        assert (
+            counters["aging.walk_unique"] + counters["aging.walk_dedup_hits"]
+            == t.size - idle
+        )

@@ -14,6 +14,7 @@ import pytest
 
 from repro.baselines import VAAManager
 from repro.core import HayatManager
+from repro.dtm.policy import DTMPolicy, DTMReport
 from repro.floorplan import Floorplan
 from repro.obs import MetricsRegistry, use_registry
 from repro.sim import (
@@ -141,6 +142,54 @@ class TestEngineDirect:
         ]
         assert_results_identical(batched, solo)
         assert registry.counter("sim.batch_fallbacks") == 1
+
+
+class _AlwaysFiringDTM(DTMPolicy):
+    """Reports a throttle on every pass and changes nothing, so the
+    settle loop never goes quiet."""
+
+    def enforce(self, state, temps_k, fmax_ghz):
+        return DTMReport(throttles=1)
+
+
+class TestSettleUnconverged:
+    def test_counted_in_both_engines(self, pieces):
+        cfg, population, table = pieces
+        chips = population.chips[:3]
+
+        def contexts():
+            return [
+                ChipContext(chip, table, dark_fraction_min=cfg.dark_fraction_min)
+                for chip in chips
+            ]
+
+        per_chip = MetricsRegistry()
+        with use_registry(per_chip):
+            for ctx in contexts():
+                LifetimeSimulator(cfg, dtm=_AlwaysFiringDTM()).run(
+                    ctx, VAAManager()
+                )
+        batched = MetricsRegistry()
+        with use_registry(batched):
+            BatchLifetimeSimulator(cfg, dtm=_AlwaysFiringDTM()).run(
+                contexts(), VAAManager()
+            )
+        assert batched.counter("sim.batched_chips") == len(chips)
+        expected = len(chips) * cfg.num_epochs
+        assert per_chip.counter("sim.settle_unconverged") == expected
+        assert batched.counter("sim.settle_unconverged") == expected
+
+    def test_quiet_settles_count_nothing(self, pieces):
+        cfg, population, table = pieces
+        ctxs = [
+            ChipContext(chip, table, dark_fraction_min=cfg.dark_fraction_min)
+            for chip in population.chips[:2]
+        ]
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            BatchLifetimeSimulator(cfg).run(ctxs, VAAManager())
+        assert registry.counter("sim.settle_rounds") > 0
+        assert registry.counter("sim.settle_unconverged") == 0
 
 
 class TestCampaignBatchSizes:

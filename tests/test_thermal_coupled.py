@@ -1,10 +1,17 @@
 """Leakage-temperature coupled fixed point."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.obs import MetricsRegistry, use_registry
 from repro.power import PowerModel
-from repro.thermal import ThermalRCNetwork, solve_coupled_steady_state
+from repro.thermal import (
+    ThermalRCNetwork,
+    solve_coupled_steady_state,
+    solve_coupled_steady_state_batch,
+)
 from repro.thermal.coupled import ThermalRunawayError
 
 
@@ -89,3 +96,91 @@ class TestCoupledSolve:
         act = np.ones(64)
         with pytest.raises(ThermalRunawayError):
             solve_coupled_steady_state(net, pm, freq, act, on, max_iter=2)
+
+
+#: Fixed point and gain of the synthetic limit-cycle loop below.
+FIXED_K = 330.0
+GAIN_K = 4.0
+
+
+class _KinkedNetwork:
+    """A loop whose damped Picard map has a stable 2-cycle.
+
+    The target is ``FIXED_K - GAIN_K * tanh(P - FIXED_K)``.  At the
+    default damping 0.6 the fixed point has slope -2 and the iterate
+    locks into a ~3 K 2-cycle; at damping 0.3 the slope is -0.5 and no
+    2-cycle exists, so one halving converges.
+    """
+
+    def __init__(self, num_cores=4):
+        self.num_cores = num_cores
+        self.config = SimpleNamespace(ambient_k=300.0)
+
+    def steady_state(self, total_w):
+        return FIXED_K - GAIN_K * np.tanh(total_w - FIXED_K)
+
+    def steady_state_batch(self, total_w):
+        return self.steady_state(total_w)
+
+
+class _EchoPower:
+    """``total_w`` echoes the temperature; ``leakage_scale`` shrinks a
+    row's loop gain (0.25 converges without a halving)."""
+
+    def evaluate(self, freq, activity, temps, powered_on):
+        return SimpleNamespace(total_w=np.array(temps, dtype=float))
+
+    def evaluate_batch(
+        self, freq, activity, temps, powered_on, leakage_scale=None
+    ):
+        scale = 1.0 if leakage_scale is None else leakage_scale
+        return SimpleNamespace(total_w=FIXED_K + scale * (temps - FIXED_K))
+
+
+class TestLimitCycle:
+    """A non-diverging solve that runs out of iterations restarts from
+    its last iterate at halved damping before it raises."""
+
+    def test_scalar_halves_damping_and_converges(self):
+        net, pm = _KinkedNetwork(), _EchoPower()
+        zeros = np.zeros(net.num_cores)
+        on = np.ones(net.num_cores, dtype=bool)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            temps, _ = solve_coupled_steady_state(net, pm, zeros, zeros, on)
+        np.testing.assert_allclose(temps, FIXED_K, atol=0.05)
+        assert registry.counter("thermal.coupled_damping_halvings") == 1
+        assert registry.counter("thermal.coupled_iterations") > 400
+
+    def test_scalar_still_raises_when_halvings_run_out(self):
+        net, pm = _KinkedNetwork(), _EchoPower()
+        zeros = np.zeros(net.num_cores)
+        on = np.ones(net.num_cores, dtype=bool)
+        # A zero tolerance no step can meet keeps every pass unconverged.
+        with pytest.raises(ThermalRunawayError, match="damping halvings"):
+            solve_coupled_steady_state(
+                net, pm, zeros, zeros, on, max_iter=50, tol_k=0.0
+            )
+
+    def test_batch_restarts_only_cycling_rows(self):
+        net, pm = _KinkedNetwork(), _EchoPower()
+        shape = (3, net.num_cores)
+        zeros = np.zeros(shape)
+        on = np.ones(shape, dtype=bool)
+        scale = np.ones(shape)
+        scale[0] = 0.25
+        scale[2] = 0.25
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            temps, _ = solve_coupled_steady_state_batch(
+                net, pm, zeros, zeros, on, leakage_scale=scale
+            )
+        np.testing.assert_allclose(temps, FIXED_K, atol=0.05)
+        assert registry.counter("thermal.coupled_damping_halvings") == 1
+        # The converging rows never saw the restart: same bits as a
+        # batch of those rows alone.
+        alone, _ = solve_coupled_steady_state_batch(
+            net, pm, zeros[[0, 2]], zeros[[0, 2]], on[[0, 2]],
+            leakage_scale=scale[[0, 2]],
+        )
+        np.testing.assert_array_equal(temps[[0, 2]], alone)
