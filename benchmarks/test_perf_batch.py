@@ -111,9 +111,6 @@ def _bench_policy(policy, batch_pieces, benchmark):
         for name in PHASE_TIMERS
         if name in snapshot.timers
     }
-    benchmark.extra_info["segment_cache_hits"] = snapshot.counters.get(
-        "sim.segment_cache_hits", 0
-    )
     benchmark.extra_info["decision_batched_lanes"] = snapshot.counters.get(
         "sim.decision_batched_lanes", 0
     )

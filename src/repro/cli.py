@@ -83,15 +83,6 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--no-segment-cache",
-        action="store_true",
-        help=(
-            "recompile every fused-window segment instead of reusing the "
-            "content-keyed compiled-segment cache (results are "
-            "bit-identical either way)"
-        ),
-    )
-    parser.add_argument(
         "--no-walk-dedup",
         action="store_true",
         help=(
@@ -390,7 +381,6 @@ def _cmd_simulate(args) -> int:
         lifetime_years=args.years, dark_fraction_min=args.dark, window_s=10.0,
         seed=args.seed, fused_window=not args.no_fused_window,
         batch_decision=not args.no_batch_decision,
-        segment_cache=not args.no_segment_cache,
         walk_dedup=not args.no_walk_dedup,
         approx_table_walk=args.approx_table_walk,
         delta_candidates=not args.no_delta_candidates,
@@ -433,7 +423,6 @@ def _cmd_campaign(args) -> int:
         lifetime_years=args.years, dark_fraction_min=args.dark, window_s=10.0,
         seed=args.seed, fused_window=not args.no_fused_window,
         batch_decision=not args.no_batch_decision,
-        segment_cache=not args.no_segment_cache,
         walk_dedup=not args.no_walk_dedup,
         approx_table_walk=args.approx_table_walk,
         delta_candidates=not args.no_delta_candidates,
@@ -523,7 +512,6 @@ def _cmd_sweep(args) -> int:
         lifetime_years=args.years, window_s=10.0, seed=args.seed,
         fused_window=not args.no_fused_window,
         batch_decision=not args.no_batch_decision,
-        segment_cache=not args.no_segment_cache,
         walk_dedup=not args.no_walk_dedup,
         approx_table_walk=args.approx_table_walk,
         delta_candidates=not args.no_delta_candidates,
@@ -637,10 +625,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if getattr(args, "no_thermal_cache", False):
         configure_thermal_cache(enabled=False)
-    if getattr(args, "no_segment_cache", False):
-        from repro.sim.window import configure_segment_cache
-
-        configure_segment_cache(enabled=False)
     if getattr(args, "no_walk_dedup", False):
         from repro.aging.walk import configure_walk_engine
 

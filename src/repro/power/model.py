@@ -108,57 +108,6 @@ class PowerModel:
         leak = self.leakage.power_w(temp_k, self.leakage_scale, powered_on)
         return PowerBreakdown(dynamic_w=dynamic, leakage_w=np.asarray(leak))
 
-    def evaluate_batch(
-        self,
-        freq_ghz: np.ndarray,
-        activity: np.ndarray,
-        temp_k: np.ndarray,
-        powered_on: np.ndarray,
-        leakage_scale: np.ndarray | None = None,
-    ) -> PowerBreakdown:
-        """Per-core power for a batch of chip states at once.
-
-        All inputs are ``(batch, num_cores)``; the returned breakdown's
-        arrays have the same shape.  One vectorized pass replaces
-        ``batch`` :meth:`evaluate` calls — the power half of the
-        stacked-RHS path used by
-        :func:`repro.thermal.coupled.solve_coupled_steady_state_batch`.
-
-        ``leakage_scale`` overrides this model's own per-core
-        multipliers — pass a ``(batch, num_cores)`` matrix when the rows
-        belong to *different* chips (the batched population engine's
-        case, where each chip carries its own manufacturing variation
-        but shares the dynamic/leakage parameters).  The scales
-        broadcast elementwise through the leakage model, so row ``b``
-        is bit-identical to evaluating chip ``b`` alone.
-        """
-        freq_ghz = self._stacked("freq_ghz", freq_ghz)
-        activity = self._stacked("activity", activity)
-        temp_k = self._stacked("temp_k", temp_k)
-        powered_on = np.asarray(powered_on, dtype=bool)
-        if powered_on.shape != freq_ghz.shape:
-            raise ValueError("powered_on must match the batch shape")
-        if leakage_scale is None:
-            leakage_scale = self.leakage_scale
-        else:
-            leakage_scale = np.asarray(leakage_scale, dtype=float)
-            if leakage_scale.shape != freq_ghz.shape:
-                raise ValueError("leakage_scale must match the batch shape")
-        dynamic = np.where(
-            powered_on, self.dynamic.power_w(freq_ghz, activity), 0.0
-        )
-        leak = self.leakage.power_w(temp_k, leakage_scale, powered_on)
-        return PowerBreakdown(dynamic_w=dynamic, leakage_w=np.asarray(leak))
-
-    def _stacked(self, name: str, values) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2 or values.shape[1] != self.num_cores:
-            raise ValueError(
-                f"{name} must have shape (batch, {self.num_cores}), "
-                f"got {values.shape}"
-            )
-        return values
-
     def _flat(self, name: str, values) -> np.ndarray:
         values = np.asarray(values, dtype=float)
         if values.shape != (self.num_cores,):

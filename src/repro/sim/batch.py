@@ -450,8 +450,7 @@ class BatchLifetimeSimulator:
                 if lane.fused and lane.segment is None:
                     seg_end = min(steps, step + SEGMENT_CHUNK_STEPS)
                     segment = compile_segment(
-                        lane.state, lane.ctx.power_model, times, step, seg_end, dt,
-                        use_cache=cfg.segment_cache,
+                        lane.state, lane.ctx.power_model, times, step, seg_end, dt
                     )
                     if segment is None:
                         lane.fused = False  # step-by-step for the rest

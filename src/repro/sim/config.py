@@ -56,12 +56,6 @@ class SimulationConfig:
         Algorithm 1 estimate loop of :mod:`repro.core.mapper_batch`).
         Results are bit-identical either way; ``False`` (CLI
         ``--no-batch-decision``) restores the per-chip decision loop.
-    segment_cache:
-        Reuse compiled-segment payloads across identical (state,
-        phase-trace content, step range) compiles via the process-level
-        content-keyed cache (:mod:`repro.sim.window`).  Results are
-        bit-identical either way; ``False`` (CLI ``--no-segment-cache``)
-        recompiles every segment.
     walk_dedup:
         Route aging-table walks through the deduplicating, delta-aware
         walk engine (:mod:`repro.aging.walk`).  Results are
@@ -99,7 +93,6 @@ class SimulationConfig:
     seed: int = 0
     fused_window: bool = True
     batch_decision: bool = True
-    segment_cache: bool = True
     walk_dedup: bool = True
     approx_table_walk: float | None = None
     delta_candidates: bool = True

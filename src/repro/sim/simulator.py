@@ -371,8 +371,7 @@ class LifetimeSimulator:
                     )
                     seg_end = min(seg_end, max(dep_step, step + 1))
                 segment = compile_segment(
-                    state, ctx.power_model, times, step, seg_end, dt,
-                    use_cache=cfg.segment_cache,
+                    state, ctx.power_model, times, step, seg_end, dt
                 )
                 if segment is None:
                     engine = None  # unsupported trace type: step-by-step

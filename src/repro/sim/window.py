@@ -41,10 +41,7 @@ Progress is observable through the ``sim.fused_steps``,
 
 from __future__ import annotations
 
-import struct
-from collections import OrderedDict
 from dataclasses import dataclass
-from hashlib import blake2b
 
 import numpy as np
 
@@ -61,7 +58,6 @@ __all__ = [
     "SEGMENT_CHUNK_STEPS",
     "WindowStats",
     "compile_segment",
-    "configure_segment_cache",
     "rewind_unexecuted_draws",
 ]
 
@@ -71,90 +67,6 @@ __all__ = [
 #: recompiles at most ``O(S * CHUNK)`` matrix rows instead of
 #: ``O(S^2)``, and each activity/power matrix stays small.
 SEGMENT_CHUNK_STEPS = 128
-
-
-class _SegmentCache:
-    """Process-level content-keyed LRU of compiled-segment payloads.
-
-    Keyed by everything that determines a segment's cacheable outputs
-    (``dyn_power_w``/``duty_step``/``ips_total``, see
-    :func:`_segment_key`); the stateful parts of a compile — the trace
-    extension's shared-RNG draws, generator snapshots, phase marks —
-    are *never* cached: they must run per compile or the streams
-    diverge from the step-by-step path.  Cached arrays are stored
-    read-only and shared by every hit, which is safe because both
-    window engines only read them.
-    """
-
-    def __init__(self, capacity: int = 512):
-        self.enabled = True
-        self.capacity = int(capacity)
-        self.entries: OrderedDict[bytes, tuple] = OrderedDict()
-
-
-_SEGMENT_CACHE = _SegmentCache()
-
-
-def configure_segment_cache(
-    enabled: bool = True, capacity: int | None = None
-) -> None:
-    """Enable/disable the process-level compiled-segment cache.
-
-    Results are bit-identical either way (the CLI escape hatch is
-    ``--no-segment-cache``); the cache is cleared on every call.
-    """
-    if capacity is not None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        _SEGMENT_CACHE.capacity = int(capacity)
-    _SEGMENT_CACHE.enabled = bool(enabled)
-    _SEGMENT_CACHE.entries.clear()
-
-
-def _segment_key(
-    state: ChipState,
-    power_model: PowerModel,
-    seg_times: np.ndarray,
-    dt_s: float,
-    mapped: np.ndarray,
-    traces: list[PhaseTrace],
-) -> bytes:
-    """Content digest of everything the cacheable payload depends on.
-
-    ``dyn_power_w`` is a function of the dynamic-power parameters, the
-    segment's absolute step times, the per-core frequency and power
-    vectors, and each mapped trace's phase content over the segment;
-    ``duty_step`` adds the mapped threads' duty cycles and ``dt``;
-    ``ips_total`` their IPC.  Throttle *flags* are deliberately
-    excluded — a throttled core's reduced frequency is already in the
-    frequency vector, and ``throttled_idx`` is rebuilt fresh per
-    compile.  Trace content is fingerprinted by the phase slice
-    covering the segment (absolute boundaries + levels), so two lanes
-    — or two identical re-runs — hit only when ``levels_at`` would
-    return identical samples.
-    """
-    digest = blake2b(digest_size=16)
-    dynamic = power_model.dynamic
-    digest.update(
-        struct.pack("<qddd", state.num_cores, dynamic.ceff_nf, dynamic.vdd, dt_s)
-    )
-    digest.update(seg_times.tobytes())
-    digest.update(state.freq_view.tobytes())
-    digest.update(state.powered_view.tobytes())
-    digest.update(mapped.astype(np.int64).tobytes())
-    if mapped.size:
-        t0 = float(seg_times[0])
-        t1 = float(seg_times[-1])
-        assignment = state.assignment_view
-        for core, trace in zip(mapped, traces):
-            thread = state.threads[assignment[core]]
-            digest.update(struct.pack("<dd", thread.duty_cycle, thread.ipc))
-            bounds, levels = trace.phase_arrays()
-            lo = int(np.searchsorted(bounds, t0, side="right")) - 1
-            hi = int(np.searchsorted(bounds, t1, side="right"))
-            digest.update(bounds[lo : hi + 1].tobytes())
-            digest.update(levels[lo:hi].tobytes())
-    return digest.digest()
 
 
 @dataclass
@@ -241,17 +153,22 @@ def _extend_in_step_order(traces: list[PhaseTrace], times_s: np.ndarray) -> None
     if not len(times_s) or not traces:
         return
     end_time = float(times_s[-1])
+    horizons = [trace.horizon_s for trace in traces]
     while True:
-        horizon = min(trace.horizon_s for trace in traces)
+        horizon = min(horizons)
         if horizon > end_time:
             return
         # First step whose time is due for the earliest-expiring trace;
         # at that step the unfused loop would extend every due trace in
-        # core order (extend_to no-ops the others).
+        # core order.  A trace whose horizon lies past that time is not
+        # due: extend_to would no-op it without drawing, so it is
+        # skipped.
         step = int(np.searchsorted(times_s, horizon, side="left"))
         t = float(times_s[step])
-        for trace in traces:
-            trace.extend_to(t)
+        for i, trace in enumerate(traces):
+            if horizons[i] <= t:
+                trace.extend_to(t)
+                horizons[i] = trace.horizon_s
 
 
 def compile_segment(
@@ -261,7 +178,6 @@ def compile_segment(
     start_step: int,
     end_step: int,
     dt_s: float,
-    use_cache: bool = True,
 ) -> CompiledSegment | None:
     """Compile the mapped threads into a dense segment timeline.
 
@@ -269,14 +185,6 @@ def compile_segment(
     covers ``[start_step, end_step)``.  Returns ``None`` when a mapped
     thread carries a trace type the vectorized sampler cannot prove
     equivalent (the caller then falls back to the step-by-step path).
-
-    With ``use_cache`` (and the process-level cache enabled, see
-    :func:`configure_segment_cache`), a segment whose content key — the
-    chip state's vectors plus the traces' phase content over the span —
-    matches an earlier compile reuses that compile's dense payload
-    (``sim.segment_cache_hits``/``sim.segment_cache_misses``).  The
-    trace extension always runs: it consumes shared RNG streams in step
-    order, a side effect the step-by-step path performs regardless.
     """
     assignment = state.assignment_view
     mapped = np.flatnonzero(assignment >= 0)
@@ -301,35 +209,6 @@ def compile_segment(
     phase_marks = [(trace, trace.phase_count) for trace in traces]
     _extend_in_step_order(traces, seg_times)
 
-    obs = get_registry()
-    cache = _SEGMENT_CACHE
-    cacheable = (
-        use_cache
-        and cache.enabled
-        # A dynamic-model subclass could override power_w; only the
-        # stock parameters are a complete key.
-        and type(power_model.dynamic) is DynamicPowerModel
-    )
-    if cacheable:
-        key = _segment_key(state, power_model, seg_times, dt_s, mapped, traces)
-        payload = cache.entries.get(key)
-        if payload is not None:
-            cache.entries.move_to_end(key)
-            dyn, duty_step, ips_total = payload
-            obs.inc("sim.segment_cache_hits")
-            obs.inc("sim.timeline_compiles")
-            return CompiledSegment(
-                start_step=start_step,
-                dyn_power_w=dyn,
-                duty_step=duty_step,
-                ips_total=ips_total,
-                busy=assignment >= 0,
-                throttled_idx=np.flatnonzero(state.throttled_view),
-                traces=traces,
-                rng_states=rng_states,
-                phase_marks=phase_marks,
-            )
-
     activity = np.zeros((len(seg_times), state.num_cores))
     for core, trace in zip(mapped, traces):
         activity[:, core] = trace.levels_at(seg_times)
@@ -351,23 +230,11 @@ def compile_segment(
         duty[core] = thread.duty_cycle
         ips_total += thread.ips_at(float(freq[core]))
 
-    duty_step = duty * dt_s
-    if cacheable:
-        obs.inc("sim.segment_cache_misses")
-        # Stored arrays are shared by every future hit; freeze them so
-        # an accidental in-place write fails loudly instead of
-        # corrupting unrelated segments.
-        dyn.flags.writeable = False
-        duty_step.flags.writeable = False
-        cache.entries[key] = (dyn, duty_step, ips_total)
-        while len(cache.entries) > cache.capacity:
-            cache.entries.popitem(last=False)
-
-    obs.inc("sim.timeline_compiles")
+    get_registry().inc("sim.timeline_compiles")
     return CompiledSegment(
         start_step=start_step,
         dyn_power_w=dyn,
-        duty_step=duty_step,
+        duty_step=duty * dt_s,
         ips_total=ips_total,
         busy=assignment >= 0,
         throttled_idx=np.flatnonzero(state.throttled_view),

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg.lapack import dpotrs as _potrs
 
 from repro.floorplan import Floorplan
 from repro.obs import get_registry
@@ -204,13 +205,28 @@ class ThermalRCNetwork:
             )
         if (core_power_w < 0).any():
             raise ValueError("core powers must be non-negative")
-        batch = core_power_w.shape[0]
-        get_registry().inc("thermal.steady_solves", batch)
-        rhs = np.empty((self.num_nodes, batch))
-        rhs[:] = self._entry.node_power_base[:, None]
-        rhs[: self.num_cores, :] = core_power_w.T
-        rises = linalg.cho_solve(self._system_cho, rhs, check_finite=False)
-        return self.config.ambient_k + rises[: self.num_cores, :].T
+        get_registry().inc("thermal.steady_solves", core_power_w.shape[0])
+        return self.steady_state_unchecked(core_power_w)
+
+    def steady_state_unchecked(self, core_power_w: np.ndarray) -> np.ndarray:
+        """:meth:`steady_state_batch` for trusted input, without counting.
+
+        The coupled solvers' per-pass solve: the caller guarantees a
+        finite, non-negative ``(batch, num_cores)`` float matrix and
+        counts ``thermal.steady_solves`` itself.  LAPACK ``potrs`` runs
+        on the cached factor with a Fortran-order RHS it may overwrite
+        — the routine ``scipy.linalg.cho_solve`` dispatches to, minus
+        its argument checks and layout copy, so the bits are the same.
+        """
+        n = self.num_cores
+        rhs = np.empty((self.num_nodes, core_power_w.shape[0]), order="F")
+        rhs[n:] = self._entry.node_power_base[n:, None]
+        rhs[:n] = core_power_w.T
+        factor, lower = self._system_cho
+        rises, info = _potrs(factor, rhs, lower=lower, overwrite_b=True)
+        if info:
+            raise ValueError(f"LAPACK potrs failed (info={info})")
+        return self.config.ambient_k + rises[:n].T
 
     def influence_matrix(self) -> np.ndarray:
         """``(num_cores, num_cores)`` steady-state influence matrix ``K``.

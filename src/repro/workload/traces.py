@@ -129,19 +129,6 @@ class PhaseTrace:
         traces; consumers ordering extensions group traces by it)."""
         return self._rng
 
-    def phase_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The materialized ``(boundaries, levels)`` as ndarrays.
-
-        Shares the cached mirrors :meth:`levels_at` samples from (treat
-        them as read-only; they are rebuilt lazily after extensions).
-        Consumers that fingerprint trace content — the compiled-segment
-        cache — slice these instead of re-walking the phase lists.
-        """
-        if self._bounds_arr is None:
-            self._bounds_arr = np.asarray(self._boundaries)
-            self._levels_arr = np.asarray(self._levels)
-        return self._bounds_arr, self._levels_arr
-
     def levels_at(self, times_s: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`activity_at` over an ascending time array.
 

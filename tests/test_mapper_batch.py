@@ -292,33 +292,3 @@ class TestEscapeHatches:
             assert result_to_dict(a) == result_to_dict(c)
         assert on_registry.counter("sim.decision_batched_lanes") > 0
         assert off_registry.counter("sim.decision_batched_lanes") == 0
-
-    def test_segment_cache_off_identical(
-        self, reference, population, aging_table
-    ):
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            uncached = run_campaign(
-                [HayatManager()],
-                config=small_cfg(segment_cache=False),
-                population=population, table=aging_table,
-            )
-        for a, b in zip(
-            reference.results["hayat"], uncached.results["hayat"]
-        ):
-            assert result_to_dict(a) == result_to_dict(b)
-        assert registry.counter("sim.segment_cache_hits") == 0
-        assert registry.counter("sim.segment_cache_misses") == 0
-
-    def test_repeat_run_hits_segment_cache(
-        self, reference, population, aging_table
-    ):
-        """``reference`` already populated the process-level cache with
-        this campaign's segments; an identical run is all hits."""
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            run_campaign(
-                [HayatManager()],
-                config=small_cfg(), population=population, table=aging_table,
-            )
-        assert registry.counter("sim.segment_cache_hits") > 0
