@@ -114,15 +114,9 @@ def _bench_policy(policy, batch_pieces, benchmark):
     benchmark.extra_info["decision_batched_lanes"] = snapshot.counters.get(
         "sim.decision_batched_lanes", 0
     )
-    for counter in (
-        "walk_idle",
-        "walk_unique",
-        "walk_dedup_hits",
-        "walk_delta_hits",
-    ):
-        benchmark.extra_info[counter] = snapshot.counters.get(
-            f"aging.{counter}", 0
-        )
+    benchmark.extra_info["walk_idle"] = snapshot.counters.get(
+        "aging.walk_idle", 0
+    )
     benchmark.extra_info["delta_rounds"] = snapshot.counters.get(
         "sim.delta_rounds", 0
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.aging.tables import AgingTable
-from repro.aging.walk import walk_next_health
+from repro.aging.walk import WalkEngine
 
 
 class HealthState:
@@ -59,8 +59,7 @@ class HealthState:
         This is the candidate-evaluation primitive of Algorithm 1; it
         never touches the stored state.
         """
-        return walk_next_health(
-            self.table,
+        return WalkEngine(self.table).next_health(
             self._flat("temps_k", temps_k),
             self._flat("duties", duties),
             self._health,
@@ -128,8 +127,8 @@ def advance_batch(
             f"{temps_k.shape} and {duties.shape}"
         )
     healths = np.concatenate([state._health for state in states])
-    out = walk_next_health(
-        table, temps_k.reshape(-1), duties.reshape(-1), healths, epoch_years
+    out = WalkEngine(table).next_health(
+        temps_k.reshape(-1), duties.reshape(-1), healths, epoch_years
     ).reshape(expected)
     for b, state in enumerate(states):
         state._health = out[b].copy()

@@ -115,13 +115,20 @@ class AgingTable:
             raise ValueError(
                 f"table values must have shape {expected}, got {self.values.shape}"
             )
+        # NaN fails every comparison below, so it would pass both the
+        # monotonicity and the range check: reject non-finite entries
+        # first (tables may come from ``.npz`` files via :meth:`load`).
         for name, grid in (
             ("temp_grid_k", self.temp_grid_k),
             ("duty_grid", self.duty_grid),
             ("age_grid_years", self.age_grid_years),
         ):
+            if not np.isfinite(grid).all():
+                raise ValueError(f"{name} must be finite")
             if len(grid) < 2 or (np.diff(grid) <= 0).any():
                 raise ValueError(f"{name} must be strictly increasing, length >= 2")
+        if not np.isfinite(self.values).all():
+            raise ValueError("values must be finite")
         if (self.values <= 0).any() or (self.values > 1.0 + 1e-12).any():
             raise ValueError("health values must lie in (0, 1]")
         # Flat views for the hot lookups: the same elements gathered by
@@ -193,14 +200,6 @@ class AgingTable:
         self._corner_offsets = np.array(
             [0, n_y, n_d * n_y, (n_d + 1) * n_y], dtype=np.intp
         ).reshape(4, 1) + np.array([0, 1], dtype=np.intp)
-
-    def __getstate__(self):
-        # The walk engine (repro.aging.walk) caches itself on the table;
-        # it is a pure memo, so pickles to campaign workers drop it and
-        # each process rebuilds an empty one lazily.
-        state = self.__dict__.copy()
-        state.pop("_walk_engine", None)
-        return state
 
     @property
     def max_age_years(self) -> float:
@@ -326,10 +325,7 @@ class AgingTable:
         blended health strictly exceeds ``health_b``, and ``floor`` is
         the shortest leading flat run among the participating corners.
         The bounds depend only on the corner row set, the positivity
-        pattern ``pos`` of the corner weights, and the health bits — a
-        fact the walk engine (:mod:`repro.aging.walk`) exploits by
-        computing them once per distinct (rows, pos, health) group and
-        scattering; the gathered integers are identical either way.
+        pattern ``pos`` of the corner weights, and the health bits.
 
         The count tables (see ``__post_init__``) split the columns
         rigorously, *including* floating-point rounding of the blend
@@ -364,8 +360,7 @@ class AgingTable:
         return lo_b, hi_b, flat_floor
 
     def _ages_located(
-        self, it, ft, idx_d, fd, health_b, weights=None, rows=None, bases=None,
-        bounds=None, grid_index=None,
+        self, it, ft, idx_d, fd, health_b, weights=None, rows=None, bases=None
     ) -> np.ndarray:
         """Inverse age lookup from pre-located (T, d) positions.
 
@@ -380,17 +375,9 @@ class AgingTable:
         may carry the stacked corner weights
         (:meth:`_corner_weights`) and corner row/offset indices
         (:meth:`_corner_rows`) so a caller that also performs the
-        forward read computes them once.  ``bounds`` may carry the
-        (lo_b, hi_b, floor) triple of :meth:`_count_bounds` computed by
-        the walk engine's per-group dedup; ``grid_index``, when given
-        an ``intp`` batch-shaped array, is filled with the age-grid
-        index each returned age lands on exactly (``n_y`` for the
-        zero-age clamp, ``-1`` when the age is a genuine interpolant) —
-        the hook the engine's fused age-shift lookup keys on.
+        forward read (:meth:`_walk_flat`) computes them once.
         """
         if not self._age_monotone:
-            if grid_index is not None:
-                grid_index.fill(-1)
             curves = self._curves_located(it, ft, idx_d, fd)
             return self._ages_on_curves(curves, health_b)
         if rows is None:
@@ -402,14 +389,10 @@ class AgingTable:
         # ``w00*g0 + w01*g1 + w10*g2 + w11*g3`` expression.
         if weights is None:
             weights = self._corner_weights(ft, fd)
-        count = self._crossing_counts(health_b, weights, rows, bases, bounds)
-        return self._interpolate_counts(
-            count, health_b, weights, bases, grid_index
-        )
+        count = self._crossing_counts(health_b, weights, rows, bases)
+        return self._interpolate_counts(count, health_b, weights, bases)
 
-    def _crossing_counts(
-        self, health_b, weights, rows, bases, bounds=None
-    ) -> np.ndarray:
+    def _crossing_counts(self, health_b, weights, rows, bases) -> np.ndarray:
         """Number of age columns whose blended health strictly exceeds
         the target (monotone tables only).
 
@@ -428,12 +411,7 @@ class AgingTable:
         """
         n_y = len(self.age_grid_years)
         flat = self._values_flat
-        if bounds is None:
-            lo_b, hi_b, flat_floor = self._count_bounds(
-                rows, weights > 0.0, health_b
-            )
-        else:
-            lo_b, hi_b, flat_floor = bounds
+        lo_b, hi_b, flat_floor = self._count_bounds(rows, weights > 0.0, health_b)
         gap = hi_b - lo_b
         # A positive corner that is constant over the ambiguous columns
         # (all inside its leading flat run) contributes the same addend
@@ -477,9 +455,7 @@ class AgingTable:
             )
         return count
 
-    def _interpolate_counts(
-        self, count, health_b, weights, bases, grid_index=None
-    ) -> np.ndarray:
+    def _interpolate_counts(self, count, health_b, weights, bases) -> np.ndarray:
         """Ages from crossing counts: blend both bracketing columns.
 
         Elements with ``count == 0`` (age 0) or ``count == n_y`` (edge
@@ -517,7 +493,6 @@ class AgingTable:
             np.divide(h_lo - health_b, span, out=frac, where=span > 0)
             frac = np.minimum(np.maximum(frac, 0.0), 1.0)
             ages = self.age_grid_years[lo] + frac * self._age_spans[lo]
-            exact_interior = None
         else:
             lo_i = lo[interior]
             cols = np.empty((2, interior.size), dtype=np.intp)
@@ -535,24 +510,8 @@ class AgingTable:
             ages[interior] = (
                 self.age_grid_years[lo_i] + frac * self._age_spans[lo_i]
             )
-            exact_interior = interior[frac == 0.0]
         ages = np.where(at_start, 0.0, ages)
         ages = np.where(at_end, self.max_age_years, ages)
-        if grid_index is not None:
-            # Where did the age land?  ``frac == 0`` interpolants reduce
-            # to ``grid[lo] + 0.0 * span = grid[lo]`` exactly; the two
-            # clamps are grid values by construction (``n_y`` flags the
-            # 0.0 clamp, which generic grids may not contain).
-            grid_index.fill(-1)
-            if exact_interior is None:
-                on = frac == 0.0
-                on &= ~at_start
-                on &= ~at_end
-                grid_index[on] = lo[on]
-            else:
-                grid_index[exact_interior] = lo[exact_interior]
-            grid_index[at_start] = n_y
-            grid_index[at_end] = n_y - 1
         return ages
 
     def _ages_on_curves(self, curves, health_b) -> np.ndarray:
@@ -620,12 +579,25 @@ class AgingTable:
         duty_b = np.atleast_1d(np.asarray(duty, dtype=float))
         if temp_b.shape != duty_b.shape:
             temp_b, duty_b = np.broadcast_arrays(temp_b, duty_b)
+        health = np.atleast_1d(np.asarray(current_health, dtype=float))
+        health_b = health if health.shape == temp_b.shape else np.broadcast_to(
+            health, temp_b.shape
+        )
+        return self._walk_flat(temp_b, duty_b, health_b, epoch_years)
+
+    def _walk_flat(self, temp_b, duty_b, health_b, epoch_years) -> np.ndarray:
+        """The walk itself on equal-shape arrays, validation done.
+
+        The per-element kernel :meth:`next_health` runs after
+        broadcasting, and the one the walk engine
+        (:class:`repro.aging.walk.WalkEngine`) sends its stressed
+        elements through.  Every step computes element ``i`` from
+        element ``i``'s inputs alone (:func:`_sum_corners` guards the
+        one reduction whose order could depend on batch size), so
+        walking any subset returns the same bits as walking the whole.
+        """
         it, ft = _axis_weights(self.temp_grid_k, temp_b, self._temp_spans)
         idx_d, fd = _axis_weights(self.duty_grid, duty_b, self._duty_spans)
-        health = np.atleast_1d(np.asarray(current_health, dtype=float))
-        health_b = health if health.shape == it.shape else np.broadcast_to(
-            health, it.shape
-        )
         weights = self._corner_weights(ft, fd)
         rows, bases = self._corner_rows(it, idx_d)
         ages = self._ages_located(

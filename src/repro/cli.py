@@ -83,27 +83,6 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--no-walk-dedup",
-        action="store_true",
-        help=(
-            "call the aging table directly instead of through the "
-            "deduplicating, delta-aware walk engine (results are "
-            "bit-identical either way)"
-        ),
-    )
-    parser.add_argument(
-        "--approx-table-walk",
-        type=float,
-        metavar="TOL_K",
-        default=None,
-        help=(
-            "opt-in approximate table walks: snap predicted temperatures "
-            "to TOL_K kelvin before walking the aging table, raising walk "
-            "dedup/memo hit rates at a bounded health error (default: "
-            "exact walks)"
-        ),
-    )
-    parser.add_argument(
         "--no-delta-candidates",
         action="store_true",
         help=(
@@ -381,8 +360,6 @@ def _cmd_simulate(args) -> int:
         lifetime_years=args.years, dark_fraction_min=args.dark, window_s=10.0,
         seed=args.seed, fused_window=not args.no_fused_window,
         batch_decision=not args.no_batch_decision,
-        walk_dedup=not args.no_walk_dedup,
-        approx_table_walk=args.approx_table_walk,
         delta_candidates=not args.no_delta_candidates,
     )
     policy = POLICIES[args.policy]()
@@ -423,8 +400,6 @@ def _cmd_campaign(args) -> int:
         lifetime_years=args.years, dark_fraction_min=args.dark, window_s=10.0,
         seed=args.seed, fused_window=not args.no_fused_window,
         batch_decision=not args.no_batch_decision,
-        walk_dedup=not args.no_walk_dedup,
-        approx_table_walk=args.approx_table_walk,
         delta_candidates=not args.no_delta_candidates,
     )
     print(
@@ -512,8 +487,6 @@ def _cmd_sweep(args) -> int:
         lifetime_years=args.years, window_s=10.0, seed=args.seed,
         fused_window=not args.no_fused_window,
         batch_decision=not args.no_batch_decision,
-        walk_dedup=not args.no_walk_dedup,
-        approx_table_walk=args.approx_table_walk,
         delta_candidates=not args.no_delta_candidates,
     )
     print(
@@ -625,10 +598,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if getattr(args, "no_thermal_cache", False):
         configure_thermal_cache(enabled=False)
-    if getattr(args, "no_walk_dedup", False):
-        from repro.aging.walk import configure_walk_engine
-
-        configure_walk_engine(dedup=False)
     if getattr(args, "no_delta_candidates", False):
         from repro.core.delta_eval import configure_delta_eval
 

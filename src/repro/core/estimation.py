@@ -15,7 +15,7 @@ import enum
 import numpy as np
 
 from repro.aging.tables import AgingTable
-from repro.aging.walk import walk_next_health
+from repro.aging.walk import WalkEngine
 from repro.thermal.predictor import ThermalPredictor
 
 
@@ -124,13 +124,12 @@ class OnlineHealthEstimator:
         duties = self.resolve_duties(duties)
         current_health = np.asarray(current_health, dtype=float)
         if temps_k.ndim == 1:
-            return walk_next_health(
-                self.table, temps_k, duties, current_health, epoch_years
+            return WalkEngine(self.table).next_health(
+                temps_k, duties, current_health, epoch_years
             )
         batch, n = temps_k.shape
         flat_health = np.broadcast_to(current_health, (batch, n)).reshape(-1)
-        out = walk_next_health(
-            self.table,
+        out = WalkEngine(self.table).next_health(
             temps_k.reshape(-1), duties.reshape(-1), flat_health, epoch_years,
         )
         return out.reshape(batch, n)
@@ -160,8 +159,7 @@ class OnlineHealthEstimator:
                 "(batch, num_cores) matrices"
             )
         batch, n = temps_k.shape
-        out = walk_next_health(
-            self.table,
+        out = WalkEngine(self.table).next_health(
             temps_k.reshape(-1),
             duties.reshape(-1),
             health_rows.reshape(-1),

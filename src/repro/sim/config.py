@@ -56,20 +56,6 @@ class SimulationConfig:
         Algorithm 1 estimate loop of :mod:`repro.core.mapper_batch`).
         Results are bit-identical either way; ``False`` (CLI
         ``--no-batch-decision``) restores the per-chip decision loop.
-    walk_dedup:
-        Route aging-table walks through the deduplicating, delta-aware
-        walk engine (:mod:`repro.aging.walk`).  Results are
-        bit-identical either way; ``False`` (CLI ``--no-walk-dedup``)
-        calls :meth:`repro.aging.tables.AgingTable.next_health`
-        directly.
-    approx_table_walk:
-        Opt-in approximate walk mode: snap predicted temperatures to
-        this tolerance (kelvin) before keying and walking the aging
-        table, raising dedup/memo hit rates at a health error bounded
-        by the table's worst temperature slope times half the
-        tolerance.  ``None`` (the default) keeps the walk exact; has no
-        effect when ``walk_dedup`` is off (the snap lives in the
-        engine).
     delta_candidates:
         Evaluate Algorithm 1 candidate placements incrementally
         (:mod:`repro.core.delta_eval`): one base thermal solve per
@@ -93,8 +79,6 @@ class SimulationConfig:
     seed: int = 0
     fused_window: bool = True
     batch_decision: bool = True
-    walk_dedup: bool = True
-    approx_table_walk: float | None = None
     delta_candidates: bool = True
 
     def __post_init__(self) -> None:
@@ -112,8 +96,6 @@ class SimulationConfig:
             raise ValueError("duty_scale must lie in (0, 1]")
         if not 0.0 <= self.settle_duty_fraction <= 1.0:
             raise ValueError("settle_duty_fraction must lie in [0, 1]")
-        if self.approx_table_walk is not None:
-            check_positive("approx_table_walk", self.approx_table_walk)
 
     @property
     def num_epochs(self) -> int:

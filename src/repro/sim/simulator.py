@@ -12,7 +12,6 @@ import heapq
 
 import numpy as np
 
-from repro.aging.walk import walk_options
 from repro.core.delta_eval import delta_options
 from repro.dtm.policy import DTMPolicy
 from repro.mapping.state import ChipState
@@ -86,9 +85,7 @@ class LifetimeSimulator:
         factory = SeedSequenceFactory(cfg.seed).child("mix", ctx.chip_seed_token())
         num_threads = max(1, int(round(ctx.max_on_cores * cfg.load_factor)))
 
-        with walk_options(
-            dedup=cfg.walk_dedup, approx_tol=cfg.approx_table_walk
-        ), delta_options(enabled=cfg.delta_candidates):
+        with delta_options(enabled=cfg.delta_candidates):
             for epoch in range(cfg.num_epochs):
                 mix = self._mix_factory(
                     epoch, num_threads, factory.rng("epoch", epoch)

@@ -161,6 +161,41 @@ class TestValidation:
                 bad,
             )
 
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, aging_table, bad_value):
+        # NaN fails every comparison, so it once passed the range check.
+        bad = aging_table.values.copy()
+        bad[3, 4, 5] = bad_value
+        with pytest.raises(ValueError, match="values must be finite"):
+            AgingTable(
+                aging_table.temp_grid_k,
+                aging_table.duty_grid,
+                aging_table.age_grid_years,
+                bad,
+            )
+
+    @pytest.mark.parametrize("name", ["temp_grid_k", "duty_grid", "age_grid_years"])
+    def test_rejects_non_finite_grid(self, aging_table, name):
+        arrays = {
+            "temp_grid_k": aging_table.temp_grid_k.copy(),
+            "duty_grid": aging_table.duty_grid.copy(),
+            "age_grid_years": aging_table.age_grid_years.copy(),
+            "values": aging_table.values,
+        }
+        arrays[name][1] = np.nan
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            AgingTable(**arrays)
+
+    def test_load_rejects_poisoned_file(self, aging_table, tmp_path):
+        path = str(tmp_path / "table.npz")
+        aging_table.save(path)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays["values"][0, 1, 2] = np.nan
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="values must be finite"):
+            AgingTable.load(path)
+
 
 class TestBracketedInverse:
     """The count-bracket fast path of ``_ages_located`` must reproduce
