@@ -65,6 +65,10 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
             "bit-identical either way; use to time the uncached path)"
         ),
     )
+
+
+def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags that become the run's ``SimulationConfig`` fields."""
     parser.add_argument(
         "--no-fused-window",
         action="store_true",
@@ -74,23 +78,13 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--no-batch-decision",
-        action="store_true",
-        help=(
-            "run epoch decisions chip by chip instead of through the "
-            "cross-lane batched mapper (results are bit-identical either "
-            "way; only affects batched runs)"
-        ),
-    )
-    parser.add_argument(
         "--no-delta-candidates",
         action="store_true",
         help=(
             "evaluate every mapping candidate with the dense thermal "
-            "predictor and unseeded table walks instead of the "
-            "incremental delta engine (restores pre-delta behavior "
-            "exactly; the delta default deviates by at most millikelvin "
-            "temperatures)"
+            "predictor instead of the incremental delta engine (the delta "
+            "default deviates by at most millikelvin temperatures, which "
+            "can flip decisions near exact ties)"
         ),
     )
 
@@ -220,6 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--json", help="export the full result to this JSON file")
     simulate.add_argument("--csv", help="export the per-epoch summary to this CSV file")
     _add_observability_flags(simulate)
+    _add_engine_flags(simulate)
 
     campaign = sub.add_parser("campaign", help="VAA vs Hayat over a population")
     campaign.add_argument("--chips", type=int, default=5)
@@ -236,6 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_supervision_flags(campaign)
     _add_batch_flags(campaign)
     _add_observability_flags(campaign)
+    _add_engine_flags(campaign)
 
     scenario = sub.add_parser(
         "run-scenario", help="run a JSON scenario document"
@@ -260,6 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_supervision_flags(sweep)
     _add_batch_flags(sweep)
     _add_observability_flags(sweep)
+    _add_engine_flags(sweep)
 
     serve = sub.add_parser(
         "serve", help="fleet campaign daemon over a spool directory"
@@ -359,7 +356,6 @@ def _cmd_simulate(args) -> int:
     config = SimulationConfig(
         lifetime_years=args.years, dark_fraction_min=args.dark, window_s=10.0,
         seed=args.seed, fused_window=not args.no_fused_window,
-        batch_decision=not args.no_batch_decision,
         delta_candidates=not args.no_delta_candidates,
     )
     policy = POLICIES[args.policy]()
@@ -399,7 +395,6 @@ def _cmd_campaign(args) -> int:
     config = SimulationConfig(
         lifetime_years=args.years, dark_fraction_min=args.dark, window_s=10.0,
         seed=args.seed, fused_window=not args.no_fused_window,
-        batch_decision=not args.no_batch_decision,
         delta_candidates=not args.no_delta_candidates,
     )
     print(
@@ -486,7 +481,6 @@ def _cmd_sweep(args) -> int:
     config = SimulationConfig(
         lifetime_years=args.years, window_s=10.0, seed=args.seed,
         fused_window=not args.no_fused_window,
-        batch_decision=not args.no_batch_decision,
         delta_candidates=not args.no_delta_candidates,
     )
     print(
@@ -598,10 +592,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if getattr(args, "no_thermal_cache", False):
         configure_thermal_cache(enabled=False)
-    if getattr(args, "no_delta_candidates", False):
-        from repro.core.delta_eval import configure_delta_eval
-
-        configure_delta_eval(enabled=False)
     handlers = {
         "chip": _cmd_chip,
         "simulate": _cmd_simulate,

@@ -1,8 +1,9 @@
 """Incremental delta-candidate evaluation for Algorithm 1.
 
-BENCH_PR8.json put ~83% of the 64-chip campaign inside ``sim.decision``,
-and the ROADMAP's top open item names the unexploited structure: every
-candidate row the mapper scores differs from its lane's *base placement*
+Before this engine most of a batched Hayat campaign's wall time went to
+``sim.decision`` (EXPERIMENTS.md records what the engine measured),
+and the candidate rows carry unexploited structure: every candidate row
+the mapper scores differs from its lane's *base placement*
 in exactly one column ``c`` (the thread's frequency/activity landing on
 candidate core ``c``).  The dense path nevertheless re-runs the full
 leakage-corrected superposition — a (batch × n) @ (n × n) matmul per
@@ -50,7 +51,7 @@ keeps, argmax winners), campaign results are bit-identical to the dense
 path whenever no choice flips — and ``--no-delta-candidates`` restores
 the dense path exactly.
 
-Observability: the mappers time the delta evaluation under
+Observability: the mapper times the delta evaluation under
 ``sim.delta_eval`` and count ``sim.delta_rounds`` (lockstep rounds that
 took the delta path).
 """
@@ -82,15 +83,14 @@ class DeltaOptions:
     """Process/context-scoped delta-candidate options.
 
     ``enabled=False`` (the ``--no-delta-candidates`` escape hatch)
-    restores the dense per-candidate ``predict_batch`` + unseeded walk
-    of PR 8 exactly.
+    restores the dense per-candidate ``predict_batch`` exactly.
 
     ``min_dense_rows`` is the cost gate: a mapping round takes the delta
     path only when the dense work it would replace — candidate rows
     times cores — reaches this product.  Below it the per-round
     ``solve_base`` replay costs more than the small dense matmul it
     avoids (measured break-even on the 64-core paper chip is a full
-    single-lane round, rows*n ~ 4k), so single-chip sequential mapping
+    single-lane round, rows*n ~ 4k), so one-lane mapping
     stays dense while stacked multi-lane rounds engage.  ``0`` forces
     the delta path for every round (the accuracy/identity tests use
     this); decisions are identical either way, only the arithmetic
@@ -188,7 +188,7 @@ class DeltaEvaluator:
     """Rank-1 candidate-temperature evaluation for one predictor.
 
     Only valid for plain :class:`ThermalPredictor` semantics — the
-    mappers guard engagement with ``type(predictor) is
+    mapper guards engagement with ``type(predictor) is
     ThermalPredictor`` so any subclass (overridden leakage loop, custom
     superposition) falls back to the dense path it defines.
     """

@@ -89,8 +89,8 @@ class HayatManager:
         ``states[i]`` is bit-identical to
         ``self.prepare_epoch(ctxs[i], mixes[i], epoch_years)``: the DCM
         build, fencing, and unmapped-thread absorption stay per chip,
-        and only the mapper's estimate calls are stacked (lanes the
-        stack cannot take are demoted to sequential mapping inside
+        and only the mapper's estimate calls are stacked (lanes that
+        cannot share kernels map in separate groups inside
         :func:`repro.core.mapper_batch.map_threads_batch`).
         """
         from repro.core.mapper_batch import MapperLane, map_threads_batch
@@ -154,18 +154,18 @@ class HayatManager:
         reserved = select_reserved(fmax_now, num_on, required_ghz=required)
         dark_reserved = reserved[~dcm.powered_on[reserved]] if reserved.size else reserved
         state.fence(dark_reserved)
-        estimator = OnlineHealthEstimator(
-            ctx.predictor, ctx.table, self.duty_assumption
-        )
-        mapper = HayatMapper(
-            estimator,
+        return state, fmax_now, health_now, self._mapper(ctx)
+
+    def _mapper(self, ctx) -> HayatMapper:
+        """The Algorithm 1 engine for ``ctx``'s chip under this policy."""
+        return HayatMapper(
+            OnlineHealthEstimator(ctx.predictor, ctx.table, self.duty_assumption),
             WeightingFunction(self.weighting_config),
             tsafe_k=self.tsafe_k,
             chip_health_coeff=self.chip_health_coeff,
             comm_weight=self.comm_weight,
             hop_matrix=ctx.noc.hop_matrix if self.comm_weight > 0 else None,
         )
-        return state, fmax_now, health_now, mapper
 
     def _finish_epoch(self, ctx, state, unmapped, fmax_now) -> None:
         """Everything ``prepare_epoch`` does after the mapping loop."""
@@ -192,18 +192,7 @@ class HayatManager:
         health_now = ctx.measured_health()
         fmax_now = ctx.chip.fmax_init_ghz * health_now
         self._wake_for_arrivals(ctx, state, thread_indices, fmax_now)
-        estimator = OnlineHealthEstimator(
-            ctx.predictor, ctx.table, self.duty_assumption
-        )
-        mapper = HayatMapper(
-            estimator,
-            WeightingFunction(self.weighting_config),
-            tsafe_k=self.tsafe_k,
-            chip_health_coeff=self.chip_health_coeff,
-            comm_weight=self.comm_weight,
-            hop_matrix=ctx.noc.hop_matrix if self.comm_weight > 0 else None,
-        )
-        unmapped = mapper.map_threads(
+        unmapped = self._mapper(ctx).map_threads(
             state,
             fmax_now,
             health_now,

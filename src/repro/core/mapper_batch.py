@@ -1,46 +1,39 @@
-"""Cross-lane batched Algorithm 1: lockstep mapping over a chip batch.
+"""Algorithm 1's candidate loop, run in lockstep over a chip batch.
 
-The batched population engine (:mod:`repro.sim.batch`) stacks the
-thermal and aging kernels but, through PR 6, still ran the Hayat
-decision phase chip by chip — and inside each chip, Algorithm 1 already
-batches only *within* a thread's candidate set.  For a 64-chip batch
-that is ~2k small ``predict_temperature_batch`` + ``estimate_next_health``
-calls per epoch, and profiling puts >80 % of campaign wall-clock there.
-
-This module advances the thread-placement loop of
-:meth:`repro.core.mapper.HayatMapper.map_threads` in lockstep across
-all lanes of a batch: each *round* takes every lane's next placeable
-thread, stacks the per-candidate matrices of all lanes into one
+This is the only Algorithm 1 driver: :meth:`repro.core.mapper.
+HayatMapper.map_threads` maps one chip as a one-lane batch of
+:func:`map_threads_batch`, and the batched population engine
+(:mod:`repro.sim.batch`) maps a whole chip batch through it.  Each
+*round* takes every lane's next placeable thread (stiffest frequency
+requirement first), stacks the candidate rows of all lanes into one
 ``(sum_lane_candidates, num_cores)`` block, and runs a single stacked
-temperature prediction and a single flattened aging-table walk where
-the sequential path ran one pair of calls per lane.
+temperature prediction and a single flattened aging-table walk over it.
 
-Bit identity with the sequential mapper is the design constraint:
+Stacking is an execution strategy, not a change of arithmetic:
 
 * Every stacked kernel is row-independent — elementwise power and
   leakage math, a BLAS matmul partitioned over rows (never the shared
   reduction axis), and a per-element table walk — so lane ``b``'s rows
-  match its solo call bit for bit.  Per-lane divergence (warm-start
-  temperatures, process-variation leakage scale, current health) rides
-  in as extra per-row inputs (``initial_temps_k``/``leakage_scale``
-  matrices, :meth:`~repro.core.estimation.OnlineHealthEstimator.
-  estimate_next_health_rows`).
-* All control flow stays per lane and textually mirrors
-  ``map_threads``: feasibility filtering, the all-overshoot least-bad
-  fallback, Eq. 9 + Eq. 6 scoring, the communication penalty, and the
-  carried-forward temperature estimate.
-* Lanes diverge freely: different thread counts just finish in
-  different rounds, threads with no feasible core are recorded unmapped
-  exactly as the sequential path records them, and a lane that cannot
-  join the stack at all — mismatched table/predictor parameters, or a
-  ``strict`` mapper whose mid-batch :class:`~repro.core.mapper.
-  MappingError` must not leave sibling lanes half-mapped — is demoted
-  to its own sequential ``map_threads`` call without breaking the
-  group (see :func:`unstackable_reason`).
+  carry the values its one-lane group computes.  Per-lane divergence
+  (warm-start temperatures, process-variation leakage scale, current
+  health) rides in as per-row inputs.  The one exception is the delta
+  engine's cost gate (:mod:`repro.core.delta_eval`), which counts the
+  whole round's stacked rows and so can pick a different arithmetic
+  route for a lane depending on its group mates.
+* All control flow stays per lane: feasibility filtering, the
+  all-overshoot least-bad fallback, Eq. 9 + Eq. 6 scoring, the
+  communication penalty, and the carried-forward temperature estimate.
+* Lanes diverge freely: different thread counts finish in different
+  rounds, and threads with no feasible core are recorded unmapped.
 
-Observability: ``sim.decision_batched_lanes`` counts lanes that mapped
-through a stacked group (the escape hatch ``--no-batch-decision``
-zeroes it).
+:func:`map_threads_batch` splits the lanes into groups that can share
+kernels (see :func:`unstackable_reason`).  A ``strict`` mapper's lane
+is a group of its own, so its :class:`~repro.core.mapper.MappingError`
+never leaves another lane half-mapped.  The sequential loop the engine
+replaced is kept as the test oracle in ``tests/mapper_reference.py``.
+
+Observability: ``sim.decision_batched_lanes`` counts lanes that shared
+a group with at least one other lane.
 """
 
 from __future__ import annotations
@@ -52,7 +45,7 @@ import numpy as np
 
 from repro.core.delta_eval import DeltaEvaluator, current_delta_options
 from repro.core.estimation import OnlineHealthEstimator
-from repro.core.mapper import HayatMapper
+from repro.core.mapper import HayatMapper, MappingError
 from repro.core.weighting import WeightingFunction
 from repro.mapping.state import ChipState
 from repro.obs import get_registry
@@ -65,9 +58,8 @@ __all__ = ["MapperLane", "map_threads_batch", "unstackable_reason"]
 class MapperLane:
     """One chip's inputs to a lockstep mapping pass.
 
-    Mirrors the argument list of :meth:`HayatMapper.map_threads`
-    (``epoch_years`` is shared by the whole batch and passed to
-    :func:`map_threads_batch` instead).
+    The argument list of :meth:`HayatMapper.map_threads` minus
+    ``epoch_years``, which the whole batch shares.
     """
 
     mapper: HayatMapper
@@ -90,8 +82,8 @@ def unstackable_reason(lane: MapperLane, ref: MapperLane) -> str | None:
     """
     m, m0 = lane.mapper, ref.mapper
     if m.strict:
-        # A strict lane may raise MappingError mid-round; sequential
-        # demotion keeps a raise from leaving sibling lanes half-mapped.
+        # A strict lane may raise MappingError mid-round; mapping it
+        # alone keeps a raise from leaving other lanes half-mapped.
         return "strict mapper"
     if lane.state.num_cores != ref.state.num_cores:
         return "mixed core counts"
@@ -123,17 +115,17 @@ def unstackable_reason(lane: MapperLane, ref: MapperLane) -> str | None:
 class _LaneRun:
     """Mutable per-lane mapping state threaded through the rounds.
 
-    The constructor replicates ``map_threads``'s preamble — argument
-    validation, warm-start temperatures, the running frequency/activity/
-    duty vectors seeded from already-placed threads, the stiffest-first
-    order, the incremental sibling map — op for op.
+    The constructor validates the lane's inputs and seeds the running
+    frequency/activity/duty vectors from already-placed threads, the
+    warm-start temperatures, the stiffest-first order and the sibling
+    map of the communication penalty.
     """
 
     __slots__ = (
         "mapper", "state", "n", "fmax", "health_now", "elapsed",
         "temps", "freq", "activity", "duties", "powered", "assignment",
         "order", "pos", "comm", "unmapped", "leak_scale",
-        "thread_index", "thread", "candidates", "keep", "temps_b",
+        "thread_index", "thread", "candidates",
     )
 
     def __init__(self, lane: MapperLane):
@@ -183,9 +175,8 @@ class _LaneRun:
         """Advance to this lane's next placeable thread.
 
         Skips already-placed threads and records infeasible ones as
-        unmapped (strict lanes never reach a group, so the sequential
-        path's ``MappingError`` cannot arise here).  Returns False once
-        the lane's order is exhausted.
+        unmapped, or raises :class:`MappingError` for a strict mapper.
+        Returns False once the lane's order is exhausted.
         """
         state = self.state
         while self.pos < len(self.order):
@@ -198,6 +189,11 @@ class _LaneRun:
             feasible = idle & (self.fmax >= thread.fmin_ghz)
             candidates = np.flatnonzero(feasible)
             if candidates.size == 0:
+                if self.mapper.strict:
+                    raise MappingError(
+                        f"no feasible core for {thread.thread_id} "
+                        f"(fmin {thread.fmin_ghz:.2f} GHz)"
+                    )
                 self.unmapped.append(thread_index)
                 continue
             self.thread_index = thread_index
@@ -212,46 +208,32 @@ def map_threads_batch(
 ) -> list[list[int]]:
     """Map every lane's threads; returns each lane's unmapped indices.
 
-    ``results[i]`` is bit-identical to what
-    ``lanes[i].mapper.map_threads(...)`` returns — including every
-    placement and frequency written into ``lanes[i].state`` — whether
-    the lane rode the stacked group or was demoted to the sequential
-    path.
+    Lanes are split into groups: the first unassigned lane is the
+    reference, and every unassigned lane that :func:`unstackable_reason`
+    lets share its kernels joins it.  Groups run one after another, each
+    as one lockstep pass.
     """
     lanes = list(lanes)
-    results: list[list[int] | None] = [None] * len(lanes)
-
-    # Group every lane that can share the first groupable lane's
-    # stacked kernels; the rest run sequentially below.
-    group: list[int] = []
-    ref: MapperLane | None = None
-    for i, lane in enumerate(lanes):
-        if ref is None:
-            if lane.mapper.strict:
-                continue
-            ref = lane
-            group.append(i)
-        elif unstackable_reason(lane, ref) is None:
-            group.append(i)
-
-    if len(group) >= 2:
-        get_registry().inc("sim.decision_batched_lanes", len(group))
+    results: list[list[int]] = [[] for _ in lanes]
+    pending = list(range(len(lanes)))
+    obs = get_registry()
+    while pending:
+        ref = lanes[pending[0]]
+        if ref.mapper.strict:
+            group = pending[:1]
+        else:
+            group = [
+                i for i in pending
+                if unstackable_reason(lanes[i], ref) is None
+            ]
+        pending = [i for i in pending if i not in group]
+        if len(group) > 1:
+            obs.inc("sim.decision_batched_lanes", len(group))
         runs = [_LaneRun(lanes[i]) for i in group]
         _map_group(runs, epoch_years)
         for i, run in zip(group, runs):
             results[i] = run.unmapped
-
-    for i, lane in enumerate(lanes):
-        if results[i] is None:
-            results[i] = lane.mapper.map_threads(
-                lane.state,
-                lane.fmax_now_ghz,
-                lane.health_now,
-                epoch_years,
-                lane.elapsed_years,
-                initial_temps_k=lane.initial_temps_k,
-            )
-    return results  # type: ignore[return-value]
+    return results
 
 
 def _map_group(runs: list[_LaneRun], epoch_years: float) -> None:
@@ -259,9 +241,10 @@ def _map_group(runs: list[_LaneRun], epoch_years: float) -> None:
     n = runs[0].n
     est0 = runs[0].mapper.estimator
     predictor0 = est0.predictor
-    # Delta-candidate engagement mirrors the sequential mapper's guard:
-    # plain predictor/estimator semantics only (the group already
-    # shares est0/predictor0 through unstackable_reason).
+    # The delta engine replays the stock predictor and estimator
+    # arithmetic, so a subclass of either stays on the dense kernels
+    # (``predict_batch``, ``estimate_next_health_rows``) it may override.
+    # The group shares est0/predictor0 through unstackable_reason.
     opts = current_delta_options()
     evaluator = (
         DeltaEvaluator(predictor0)
@@ -323,31 +306,30 @@ def _map_group(runs: list[_LaneRun], epoch_years: float) -> None:
                 )
             stacked_for = active
 
-        # Stack every lane's candidate rows into one block.  Each
-        # lane's rows carry its own running vectors plus the one-thread
-        # delta — exactly the matrices its solo call would build,
-        # assembled by gathers from the persistent lane stacks instead
-        # of per-lane fills.  The delta path stacks only the duty
-        # matrix (the walk needs it) plus one base row per lane; the
-        # dense path stacks the full candidate matrices.
-        counts = np.array([run.candidates.size for run in active])
-        total = int(counts.sum())
-        offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
+        # Stack every lane's candidate rows into one block: each row is
+        # its lane's running vectors plus the one-thread change at its
+        # candidate column.  Row gathers use ``take``, which copies the
+        # same values as fancy indexing at a fraction of its overhead.
+        # The delta path stacks only the duty matrix (the walk needs
+        # it) plus one base row per lane; the dense path stacks the
+        # full candidate matrices.
+        counts = [run.candidates.size for run in active]
+        total = sum(counts)
         row_lane = np.repeat(lane_idx, counts)
         rows = np.arange(total)
         cand_cols = np.concatenate([run.candidates for run in active])
         fmin_vec = np.array([run.thread.fmin_ghz for run in active])
         mact_vec = np.array([run.thread.mean_activity for run in active])
         duty_vec = np.array([run.thread.duty_cycle for run in active])
-        duty_all = duties_l[row_lane]
-        duty_all[rows, cand_cols] = duty_vec[row_lane]
+        duty_all = duties_l.take(row_lane, axis=0)
+        duty_all[rows, cand_cols] = duty_vec.take(row_lane)
 
-        # Cost gate mirroring the sequential mapper's: the stacked base
-        # solve pays for itself only when the dense work it replaces
-        # (total candidate rows x n) is large enough.
+        # Cost gate: the stacked base solve pays for itself only when
+        # the dense work it replaces (total candidate rows x n) is large
+        # enough; small rounds stay on the dense kernels.
         if evaluator is not None and total * n >= opts.min_dense_rows:
             with obs.timer("sim.delta_eval"):
-                new_dyn = dynamic.power_w(fmin_vec, mact_vec)[row_lane]
+                new_dyn = dynamic.power_w(fmin_vec, mact_vec).take(row_lane)
                 base = evaluator.solve_base(
                     freq_l, act_l, on_l, temps_l, leakage_scale=scale_l
                 )
@@ -356,92 +338,94 @@ def _map_group(runs: list[_LaneRun], epoch_years: float) -> None:
                 )
             obs.inc("sim.delta_rounds")
         else:
-            freq_all = freq_l[row_lane]
-            act_all = act_l[row_lane]
-            freq_all[rows, cand_cols] = fmin_vec[row_lane]
-            act_all[rows, cand_cols] = mact_vec[row_lane]
-
+            freq_all = freq_l.take(row_lane, axis=0)
+            act_all = act_l.take(row_lane, axis=0)
+            freq_all[rows, cand_cols] = fmin_vec.take(row_lane)
+            act_all[rows, cand_cols] = mact_vec.take(row_lane)
             temps_all = predictor0.predict_batch(
                 freq_all,
                 act_all,
-                on_l[row_lane],
-                initial_temps_k=temps_l[row_lane],
-                leakage_scale=scale_l[row_lane],
+                on_l.take(row_lane, axis=0),
+                initial_temps_k=temps_l.take(row_lane, axis=0),
+                leakage_scale=scale_l.take(row_lane, axis=0),
             )
 
         # Per-lane feasibility keep, then one stacked health walk over
         # the surviving rows (each row carrying its lane's health).
         tmax_all = temps_all.max(axis=1)
-        ok_all = tmax_all <= tsafe_l[row_lane]
-        kept_counts = np.empty(len(active), dtype=np.intp)
-        keep_parts: list[np.ndarray] = []
-        for li, (run, off) in enumerate(zip(active, offsets)):
-            batch = int(counts[li])
-            thermally_ok = ok_all[off : off + batch]
-            if thermally_ok.all():
-                keep = np.arange(batch)
-            elif thermally_ok.any():
-                keep = np.flatnonzero(thermally_ok)
-            else:
-                # Every placement overshoots; take the least-bad one
-                # (the sequential path's naive-optimization fallback).
-                keep = np.array(
-                    [int(np.argmin(tmax_all[off : off + batch]))]
-                )
-            run.keep = keep
-            run.temps_b = temps_all[off : off + batch]
-            keep_parts.append(off + keep)
-            kept_counts[li] = keep.size
-
-        keep_global = np.concatenate(keep_parts)
-        kept_lane = np.repeat(lane_idx, kept_counts)
-        kept_offsets = np.concatenate(([0], np.cumsum(kept_counts[:-1])))
-        temps_kept = temps_all[keep_global]
-        duty_kept = duty_all[keep_global]
-        health_rows = health_l[kept_lane]
+        ok_all = tmax_all <= tsafe_l.take(row_lane)
+        if ok_all.all():
+            # Common case: nothing to discard, so skip the row copies
+            # (same rows, same values).
+            kept_counts = counts
+            kept_lane = row_lane
+            kept_rows = rows
+            temps_kept, duty_kept = temps_all, duty_all
+        else:
+            kept_counts = []
+            keep_parts: list[np.ndarray] = []
+            off = 0
+            for batch in counts:
+                thermally_ok = ok_all[off : off + batch]
+                if thermally_ok.any():
+                    keep = np.flatnonzero(thermally_ok)
+                else:
+                    # Every placement overshoots; take the least-bad one
+                    # and let DTM handle the consequences (the paper's
+                    # naive-optimization fallback).
+                    keep = np.array(
+                        [int(np.argmin(tmax_all[off : off + batch]))]
+                    )
+                keep_parts.append(off + keep)
+                kept_counts.append(keep.size)
+                off += batch
+            kept_rows = np.concatenate(keep_parts)
+            kept_lane = np.repeat(lane_idx, kept_counts)
+            temps_kept = temps_all.take(kept_rows, axis=0)
+            duty_kept = duty_all.take(kept_rows, axis=0)
 
         health_all = est0.estimate_next_health_rows(
-            temps_kept, duty_kept, health_rows, epoch_years
+            temps_kept,
+            duty_kept,
+            health_l.take(kept_lane, axis=0),
+            epoch_years,
         )
 
         # Eq. 9 over all kept rows in one sweep: per-lane scalars
         # (alpha, beta, wmax, required frequency) ride in as per-row
         # gathers, so every element sees exactly the operands its
-        # per-lane call saw and the sweep stays bit-identical.
-        kept_cores_all = cand_cols[keep_global]
+        # one-lane call sees.
+        kept_cores_all = cand_cols.take(kept_rows)
         if batched_scoring:
-            ktotal = keep_global.size
-            h_next = health_all[np.arange(ktotal), kept_cores_all]
-            h_now = health_l[kept_lane, kept_cores_all]
-            gap = fmax_l[kept_lane, kept_cores_all] - fmin_vec[kept_lane]
+            ktotal = kept_rows.size
+            lane_cell = kept_lane * n + kept_cores_all
+            h_now = health_l.take(lane_cell)
+            if (h_now <= 0).any():
+                raise ValueError("current health must be positive")
+            h_next = health_all.take(np.arange(ktotal) * n + kept_cores_all)
+            gap = fmax_l.take(lane_cell) - fmin_vec.take(kept_lane)
             raw = np.full(ktotal, np.inf)
             np.divide(
-                alpha_l[kept_lane],
+                alpha_l.take(kept_lane),
                 np.maximum(gap, 1e-12),
                 out=raw,
                 where=gap > 0,
             )
-            # Nonpositive health raises per lane in the commit loop
-            # below (matching the sequential order); silence the sweep's
-            # speculative divide for that pathological case.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                weights_all = (
-                    np.minimum(wmax_l[kept_lane], raw)
-                    + beta_l[kept_lane] * h_next / h_now
-                    + coeff_l[kept_lane] * health_all.mean(axis=1)
-                )
+            weights_all = (
+                np.minimum(wmax_l.take(kept_lane), raw)
+                + beta_l.take(kept_lane) * h_next / h_now
+                + coeff_l.take(kept_lane) * health_all.mean(axis=1)
+            )
 
         # The winner commit and the carried-forward running vectors
-        # stay per lane — map_threads's exact expressions — and mirror
-        # every write into the persistent lane stacks.
-        for li, (run, koff) in enumerate(zip(active, kept_offsets)):
+        # stay per lane, mirrored into the persistent lane stacks.
+        koff = 0
+        for li, run in enumerate(active):
             mapper = run.mapper
             thread = run.thread
-            k = int(kept_counts[li])
+            k = kept_counts[li]
             kept_cores = kept_cores_all[koff : koff + k]
             if batched_scoring:
-                if (health_l[li, kept_cores] <= 0).any():
-                    raise ValueError("current health must be positive")
                 weights = weights_all[koff : koff + k]
             else:
                 health_b = health_all[koff : koff + k]
@@ -468,10 +452,11 @@ def _map_group(runs: list[_LaneRun], epoch_years: float) -> None:
             run.freq[core] = thread.fmin_ghz
             run.activity[core] = thread.mean_activity
             run.duties[core] = thread.duty_cycle
-            run.temps = run.temps_b[run.keep[winner]]
+            run.temps = temps_kept[koff + winner]
             freq_l[li, core] = thread.fmin_ghz
             act_l[li, core] = thread.mean_activity
             duties_l[li, core] = thread.duty_cycle
             temps_l[li] = run.temps
             if run.comm is not None:
                 insort(run.comm.setdefault(thread.app_name, []), core)
+            koff += k

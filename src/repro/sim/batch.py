@@ -227,15 +227,10 @@ class BatchLifetimeSimulator:
             )
             lane.start_years = lane.ctx.elapsed_years
 
-        # Decisions: one cross-lane batched call when the config and the
-        # policy support it (the policy's prepare_epoch_batch stacks the
-        # numpy-friendly parts and is bit-identical per lane); the
-        # per-chip loop otherwise.
-        batch_prepare = (
-            getattr(policy, "prepare_epoch_batch", None)
-            if cfg.batch_decision
-            else None
-        )
+        # Decisions: one cross-lane batched call when the policy has one
+        # (it stacks the numpy-friendly parts per lane); the per-chip
+        # loop otherwise.
+        batch_prepare = getattr(policy, "prepare_epoch_batch", None)
         if batch_prepare is not None:
             with obs.timer("sim.decision"), obs.timer("sim.batch_decision"):
                 states = batch_prepare(

@@ -50,12 +50,6 @@ class SimulationConfig:
         (:mod:`repro.sim.window`).  Results are bit-identical either
         way; ``False`` (CLI ``--no-fused-window``) restores the
         step-by-step reference path.
-    batch_decision:
-        Let the batched population engine run epoch decisions through a
-        policy's cross-lane ``prepare_epoch_batch`` (the stacked
-        Algorithm 1 estimate loop of :mod:`repro.core.mapper_batch`).
-        Results are bit-identical either way; ``False`` (CLI
-        ``--no-batch-decision``) restores the per-chip decision loop.
     delta_candidates:
         Evaluate Algorithm 1 candidate placements incrementally
         (:mod:`repro.core.delta_eval`): one base thermal solve per
@@ -78,7 +72,6 @@ class SimulationConfig:
     settle_duty_fraction: float = 0.3
     seed: int = 0
     fused_window: bool = True
-    batch_decision: bool = True
     delta_candidates: bool = True
 
     def __post_init__(self) -> None:

@@ -134,3 +134,20 @@ class TestParser:
     def test_unknown_policy_rejected(self):
         with pytest.raises(SystemExit):
             main(["simulate", "--policy", "magic"])
+
+    @pytest.mark.parametrize(
+        "flag", ["--no-fused-window", "--no-delta-candidates", "--no-batch-decision"]
+    )
+    def test_serve_rejects_engine_flags(self, flag, tmp_path, capsys):
+        """Fleet jobs take each request's config, so ``serve`` has no
+        engine flags to (silently) ignore."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--fleet-dir", str(tmp_path), flag])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "campaign", "sweep"])
+    def test_batch_decision_flag_gone(self, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--no-batch-decision"])
+        assert excinfo.value.code == 2

@@ -44,6 +44,7 @@ from repro.sim.export import result_to_dict
 from repro.thermal import ThermalPredictor, ThermalRCNetwork
 from repro.variation import generate_population
 from repro.workload import make_mix
+from tests.mapper_reference import reference_map_threads
 from tests.test_sim_checkpoint import InterruptedHayat
 from tests.test_sim_supervisor import tiny_config
 
@@ -338,8 +339,9 @@ class TestBatchedLanes:
         self, population, floorplan, aging_table, rig
     ):
         """Lanes with different thread counts, health maps, and warm
-        starts: the batched engine under the delta path must equal solo
-        ``map_threads`` (which also runs the delta path) bit for bit."""
+        starts: the batched engine under the delta path must equal the
+        sequential reference loop (which also runs the delta path) bit
+        for bit."""
         influence, predictors = rig
         rng = np.random.default_rng(5)
         lanes, twins = [], []
@@ -372,7 +374,8 @@ class TestBatchedLanes:
         with delta_options(enabled=True, min_dense_rows=0):
             got_unmapped = map_threads_batch(lanes, 0.5)
             for lane, twin, got in zip(lanes, twins, got_unmapped):
-                want = twin.mapper.map_threads(
+                want = reference_map_threads(
+                    twin.mapper,
                     twin.state,
                     twin.fmax_now_ghz,
                     twin.health_now,

@@ -1,14 +1,13 @@
-"""Cross-lane batched Algorithm 1: bit-identity with the sequential path.
+"""Cross-lane batched Algorithm 1: bit-identity with the sequential loop.
 
-Every test pins the tentpole contract of
-:mod:`repro.core.mapper_batch`: the lockstep engine is purely an
-execution strategy.  Whatever mix of thread counts, infeasibility,
-thermal overshoot, communication weighting, pre-placed threads, or
-demoted lanes a batch carries, each lane's placements, frequencies, and
-unmapped list must equal its solo ``map_threads`` call bit for bit.
+Every test pins the contract of :mod:`repro.core.mapper_batch`: the
+lockstep engine is purely an execution strategy.  Whatever mix of
+thread counts, infeasibility, thermal overshoot, communication
+weighting, pre-placed threads, strict lanes or geometries a batch
+carries, each lane's placements, frequencies, and unmapped list must
+equal the sequential reference loop (``tests/mapper_reference.py``)
+bit for bit.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from repro.sim.export import result_to_dict
 from repro.thermal import ThermalPredictor, ThermalRCNetwork
 from repro.variation import generate_population
 from repro.workload import make_mix
+from tests.mapper_reference import reference_map_threads
 
 APPS = [["bodytrack", "x264"], ["dedup", "ferret"], ["bodytrack", "ferret"]]
 COUNTS = [12, 16, 20]
@@ -57,11 +57,13 @@ def assert_states_identical(got: ChipState, want: ChipState) -> None:
 
 
 def run_both_ways(lanes, twins, epoch_years=0.5):
-    """Map ``lanes`` through the batch engine and ``twins`` solo, then
-    require lane-for-lane bit identity (states and unmapped lists)."""
+    """Map ``lanes`` through the batch engine and ``twins`` through the
+    sequential reference loop, then require lane-for-lane bit identity
+    (states and unmapped lists)."""
     unmapped = map_threads_batch(lanes, epoch_years)
     for lane, twin, got_unmapped in zip(lanes, twins, unmapped):
-        want_unmapped = twin.mapper.map_threads(
+        want_unmapped = reference_map_threads(
+            twin.mapper,
             twin.state,
             twin.fmax_now_ghz,
             twin.health_now,
@@ -164,8 +166,8 @@ class TestLockstepBitIdentity:
         run_both_ways(lanes, twins)
 
     def test_strict_lane_demoted(self, rig, population, floorplan):
-        """A strict lane never joins the stack (a mid-round raise would
-        strand siblings) but maps identically on the sequential path."""
+        """A strict lane never joins a stack (a mid-round raise would
+        strand its group mates): it maps alone, still bit-identical."""
         lanes, twins = self._paired_lanes(rig, population, floorplan, seed=6)
         strict = HayatMapper(lanes[1].mapper.estimator, strict=True)
         lanes[1].mapper = strict
@@ -183,12 +185,45 @@ class TestLockstepBitIdentity:
         with pytest.raises(MappingError):
             map_threads_batch(lanes, 0.5)
 
-    def test_mixed_core_counts_demoted(
-        self, rig, population, floorplan, small_floorplan, aging_table
+    @pytest.mark.parametrize("strict_at", [0, 1, 2])
+    def test_strict_raise_leaves_no_lane_half_mapped(
+        self, rig, population, floorplan, strict_at
     ):
-        """A lane on different silicon geometry cannot share the stack;
-        it runs sequentially and still matches its solo call."""
-        lanes, twins = self._paired_lanes(rig, population, floorplan, seed=8)
+        """Wherever the raising strict lane sits, every other lane is
+        either fully mapped (its group ran first) or untouched."""
+        lanes, twins = self._paired_lanes(rig, population, floorplan, seed=6)
+        slow = np.full(population[strict_at].num_cores, 0.5)
+        lanes[strict_at].mapper = HayatMapper(
+            lanes[strict_at].mapper.estimator, strict=True
+        )
+        lanes[strict_at].fmax_now_ghz = slow
+        with pytest.raises(MappingError):
+            map_threads_batch(lanes, 0.5)
+        for i, (lane, twin) in enumerate(zip(lanes, twins)):
+            if i == strict_at:
+                continue
+            if (lane.state.assignment >= 0).any():
+                reference_map_threads(
+                    twin.mapper,
+                    twin.state,
+                    twin.fmax_now_ghz,
+                    twin.health_now,
+                    0.5,
+                    twin.elapsed_years,
+                    initial_temps_k=twin.initial_temps_k,
+                )
+            assert_states_identical(lane.state, twin.state)
+        # The other lanes form one group: it runs (and finishes) before
+        # the strict lane's unless the strict lane comes first.
+        assert all(
+            (lane.state.assignment >= 0).any() == (strict_at > 0)
+            for i, lane in enumerate(lanes)
+            if i != strict_at
+        )
+
+    def _small_lanes(self, small_floorplan, aging_table, count):
+        """``count`` lanes on a 16-core chip (clone pairs, like
+        :meth:`_paired_lanes`)."""
         small_chip = generate_population(
             1, seed=3, floorplan=small_floorplan
         )[0]
@@ -198,28 +233,71 @@ class TestLockstepBitIdentity:
             aging_table,
         )
         small_influence = small_net.influence_matrix()
-        for holder in (lanes, twins):
-            holder.append(
-                MapperLane(
-                    mapper=HayatMapper(small_est),
-                    state=build_state(
-                        small_chip,
-                        small_floorplan,
-                        small_influence,
-                        ["dedup"],
-                        6,
-                        seed=8,
-                    ),
-                    fmax_now_ghz=small_chip.fmax_init_ghz,
-                    health_now=np.ones(small_chip.num_cores),
-                    elapsed_years=0.0,
-                )
+        pairs = []
+        for k in range(count):
+            pairs.append(
+                [
+                    MapperLane(
+                        mapper=HayatMapper(small_est),
+                        state=build_state(
+                            small_chip,
+                            small_floorplan,
+                            small_influence,
+                            ["dedup"],
+                            6 + k,
+                            seed=8 + k,
+                        ),
+                        fmax_now_ghz=small_chip.fmax_init_ghz,
+                        health_now=np.ones(small_chip.num_cores),
+                        elapsed_years=0.0,
+                    )
+                    for _ in range(2)
+                ]
             )
+        return [p[0] for p in pairs], [p[1] for p in pairs]
+
+    def test_mixed_core_counts_demoted(
+        self, rig, population, floorplan, small_floorplan, aging_table
+    ):
+        """A lane on different silicon geometry cannot share the stack;
+        it maps in a group of its own and still matches the reference."""
+        lanes, twins = self._paired_lanes(rig, population, floorplan, seed=8)
+        small, small_twins = self._small_lanes(small_floorplan, aging_table, 1)
+        lanes += small
+        twins += small_twins
         assert unstackable_reason(lanes[-1], lanes[0]) == "mixed core counts"
         registry = MetricsRegistry()
         with use_registry(registry):
             run_both_ways(lanes, twins)
         assert registry.counter("sim.decision_batched_lanes") == 3
+
+    def test_mixed_core_counts_form_two_groups(
+        self, rig, population, floorplan, small_floorplan, aging_table,
+        monkeypatch,
+    ):
+        """Interleaved 64- and 16-core lanes split into two stacked
+        groups, one per geometry, each in first-lane order."""
+        import repro.core.mapper_batch as mapper_batch
+
+        big, big_twins = self._paired_lanes(rig, population, floorplan, seed=9)
+        small, small_twins = self._small_lanes(small_floorplan, aging_table, 2)
+        lanes = [big[0], small[0], big[1], small[1], big[2]]
+        twins = [big_twins[0], small_twins[0], big_twins[1], small_twins[1],
+                 big_twins[2]]
+        groups = []
+        original = mapper_batch._map_group
+
+        def spy(runs, epoch_years):
+            position = {id(lane.state): i for i, lane in enumerate(lanes)}
+            groups.append([position[id(run.state)] for run in runs])
+            return original(runs, epoch_years)
+
+        monkeypatch.setattr(mapper_batch, "_map_group", spy)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            run_both_ways(lanes, twins)
+        assert groups == [[0, 2, 4], [1, 3]]
+        assert registry.counter("sim.decision_batched_lanes") == 5
 
 
 class TestManagerBatch:
@@ -254,8 +332,8 @@ def small_cfg(**overrides) -> SimulationConfig:
 
 
 class TestEscapeHatches:
-    """Campaign-level identity of the two new fast paths and their
-    ``--no-batch-decision`` / ``--no-segment-cache`` escape hatches."""
+    """Campaign-level identity of the batched decision path with the
+    per-chip engine."""
 
     @pytest.fixture(scope="class")
     def reference(self, population, aging_table):
@@ -264,31 +342,16 @@ class TestEscapeHatches:
             config=small_cfg(), population=population, table=aging_table,
         )
 
-    def test_batch_decision_off_identical(
+    def test_batched_campaign_identical(
         self, reference, population, aging_table
     ):
-        cfg = small_cfg()
-        on_registry = MetricsRegistry()
-        with use_registry(on_registry):
+        registry = MetricsRegistry()
+        with use_registry(registry):
             batched = run_campaign(
                 [HayatManager()],
-                config=cfg, population=population, table=aging_table,
+                config=small_cfg(), population=population, table=aging_table,
                 batch_size=len(population),
             )
-        off_registry = MetricsRegistry()
-        with use_registry(off_registry):
-            unbatched = run_campaign(
-                [HayatManager()],
-                config=dataclasses.replace(cfg, batch_decision=False),
-                population=population, table=aging_table,
-                batch_size=len(population),
-            )
-        for a, b, c in zip(
-            reference.results["hayat"],
-            batched.results["hayat"],
-            unbatched.results["hayat"],
-        ):
+        for a, b in zip(reference.results["hayat"], batched.results["hayat"]):
             assert result_to_dict(a) == result_to_dict(b)
-            assert result_to_dict(a) == result_to_dict(c)
-        assert on_registry.counter("sim.decision_batched_lanes") > 0
-        assert off_registry.counter("sim.decision_batched_lanes") == 0
+        assert registry.counter("sim.decision_batched_lanes") > 0
