@@ -14,6 +14,15 @@ Two lookups are provided, both vectorized over cores/candidates:
   given (T, d) and a measured health, the age that stress history is
   equivalent to.
 
+:meth:`AgingTable.next_health` composes the two (the walk).  On
+age-monotone tables the inverse never blends a whole curve: per-corner
+count tables bracket each element's crossing column, and one blended
+window around that bracket yields the crossing count and both
+interpolation columns (:meth:`AgingTable._ages_located`).  Every blend
+uses the products and left-to-right corner sum of the full-curve blend,
+so the result is bit-identical to the exhaustive inversion
+(:meth:`AgingTable._ages_on_curves`).
+
 The age axis is geometric: the ``y^(1/6)`` reaction-diffusion envelope
 is steep near zero, and equivalent ages can far exceed calendar age when
 a core that aged hot is re-evaluated at a cooler temperature (the
@@ -59,7 +68,7 @@ def _axis_weights(grid: np.ndarray, values: np.ndarray, spans: np.ndarray | None
     # After the clip every value is >= grid[0], so the right-bisection
     # index is >= 1 and the lower clamp of the old ``np.clip(idx, 0, .)``
     # was dead — only the upper clamp (values == grid[-1]) can bind.
-    idx = np.searchsorted(grid, values, side="right") - 1
+    idx = grid.searchsorted(values, side="right") - 1
     idx = np.minimum(idx, len(grid) - 2)
     if spans is None:
         span = grid[idx + 1] - grid[idx]
@@ -141,9 +150,10 @@ class AgingTable:
         self._values_flat = self.values.reshape(-1)
         self._row_stride = n_d * n_y
         # Physical tables decrease along the age axis; when every stored
-        # curve does, the inverse lookup may bisect (see
-        # :meth:`_ages_located`).  Non-monotone (synthetic) tables fall
-        # back to the exhaustive comparison.
+        # curve does, the inverse lookup may bracket the crossing and
+        # blend one window around it (see :meth:`_ages_located`).
+        # Non-monotone (synthetic) tables fall back to the exhaustive
+        # comparison.
         self._age_monotone = bool((np.diff(self.values, axis=2) <= 0.0).all())
         # Physical tables also hold exactly 1.0 along the zero-stress
         # duty slice; then an idle element's walk has an exact closed
@@ -160,8 +170,8 @@ class AgingTable:
             # ``r`` whose health strictly exceeds ``_count_edges[q]``.
             # A blended (convex-combination) curve's count lies between
             # the min and max of its four corner-curve counts, giving
-            # :meth:`_ages_located` a bracket without sampling the
-            # blend.  With the edge set equal to every distinct stored
+            # :meth:`_ages_located` a bracket before it blends anything.
+            # With the edge set equal to every distinct stored
             # value, no curve crosses a threshold strictly inside a
             # bucket, so the gathered counts are the *exact* per-corner
             # counts at the queried health; huge tables fall back to a
@@ -189,12 +199,6 @@ class AgingTable:
             self._count_edges = edges
             self._edge_counts = counts
             self._counts_exact = exact
-            # Length of each curve's leading constant run — lets the
-            # inverse lookup resolve a whole ambiguous span with one
-            # blend sample when every participating corner is flat
-            # across it (see :meth:`_ages_located`).
-            neq = self._values2d != self._values2d[:, :1]
-            self._flat_prefix = np.where(neq.any(axis=1), neq.argmax(axis=1), n_y)
         # Combined (T, d) x age corner offsets for the forward trilinear
         # gather: one broadcast add instead of three.
         self._corner_offsets = np.array(
@@ -225,7 +229,7 @@ class AgingTable:
         """Trilinear blend from pre-located axis positions.
 
         The eight corners are gathered from the flat value array in one
-        fancy index of shape ``(4, 2) + batch`` — (T, d) corner major,
+        ``take`` of shape ``(4, 2) + batch`` — (T, d) corner major,
         age corner minor — matching, element for element, the corner
         order of the original 3D fancy-indexing form.  The weight tensor
         is the outer product of the bilinear (T, d) corner weights with
@@ -248,11 +252,12 @@ class AgingTable:
         # gather of all eight corners, contiguous in the corner-major
         # order the weights below follow.
         offsets = self._corner_offsets.reshape((4, 2) + (1,) * nd)
-        corners = self._values_flat[base + offsets]
+        corners = self._values_flat.take(base + offsets)
         if wtd is None:
             wtd = self._corner_weights(ft, fd)
-        omy = 1.0 - fy
-        wy = np.stack([omy, fy])
+        wy = np.empty((2,) + shape)
+        wy[0] = 1.0 - fy
+        wy[1] = fy
         weights = wtd[:, None, ...] * wy[None, ...]
         corners *= weights
         return _sum_corners(corners.reshape((8,) + shape))
@@ -319,13 +324,12 @@ class AgingTable:
         return rows, rows * len(self.age_grid_years)
 
     def _count_bounds(self, rows, pos, health_b):
-        """Count-table bounds of the blended crossing: (lo_b, hi_b, floor).
+        """Count-table bracket of the blended crossing: ``(lo_b, hi_b)``.
 
         ``lo_b``/``hi_b`` bracket the number of age columns whose
-        blended health strictly exceeds ``health_b``, and ``floor`` is
-        the shortest leading flat run among the participating corners.
-        The bounds depend only on the corner row set, the positivity
-        pattern ``pos`` of the corner weights, and the health bits.
+        blended health strictly exceeds ``health_b``.  The bounds depend
+        only on the corner row set, the positivity pattern ``pos`` of
+        the corner weights, and the health bits.
 
         The count tables (see ``__post_init__``) split the columns
         rigorously, *including* floating-point rounding of the blend
@@ -348,16 +352,21 @@ class AgingTable:
         counts = self._edge_counts
         # Right-bisection of the sentinel-free edge array indexes the
         # count table directly (column 0 is the implicit ``-inf``).
-        b_sure = np.searchsorted(edges, health_b + margin, side="right")
-        b_maybe = np.searchsorted(edges, health_b - margin, side="right")
+        b_sure = edges.searchsorted(health_b + margin, side="right")
+        b_maybe = edges.searchsorted(health_b - margin, side="right")
         if not self._counts_exact:
             # Dyadic buckets: the stored edges bracket the in-bucket
             # counts, so take the conservative side of each bucket.
             b_sure += 1
-        lo_b = np.where(pos, counts[rows, b_sure], n_y).min(axis=0)
-        hi_b = np.where(pos, counts[rows, b_maybe], 0).max(axis=0)
-        flat_floor = np.where(pos, self._flat_prefix[rows], n_y).min(axis=0)
-        return lo_b, hi_b, flat_floor
+        flat = counts.reshape(-1)
+        row_at = rows * counts.shape[1]
+        lo_b = np.where(pos, flat.take(row_at + b_sure), n_y).min(axis=0)
+        hi_b = np.where(pos, flat.take(row_at + b_maybe), 0).max(axis=0)
+        # NaN weights (a NaN temperature or duty) leave no positive
+        # corner and an empty bracket; close it at 0, the count the
+        # exhaustive comparison gives a NaN curve.
+        np.minimum(lo_b, hi_b, out=lo_b)
+        return lo_b, hi_b
 
     def _ages_located(
         self, it, ft, idx_d, fd, health_b, weights=None, rows=None, bases=None
@@ -365,14 +374,27 @@ class AgingTable:
         """Inverse age lookup from pre-located (T, d) positions.
 
         For monotone tables the exhaustive ``(batch, n_y)`` curve
-        comparison is replaced by precomputed per-corner count tables
-        that bracket the blended curve's crossing, plus a handful of
-        single-column blend samples for the residual ambiguous columns
-        (see the inline commentary).  Each blended sample and the final
-        interpolation reproduce, element for element, the products and
-        sums of the full-curve path, so results are bit-identical to
-        :meth:`_ages_on_curves`.  ``weights``, ``rows``, and ``bases``
-        may carry the stacked corner weights
+        comparison is replaced by one window per element.  The count
+        tables bracket the crossing count to ``[lo_b, hi_b]`` (see
+        :meth:`_count_bounds`): every column below ``lo_b`` blends above
+        the target and every column at or past ``hi_b`` blends at or
+        below it.  The blended curve is gathered once at columns
+        ``lo_b - 1 … hi_b`` (clamped to the age axis, every window padded
+        to the widest bracket in the batch), and that one window gives both
+
+        * the count: ``lo_b`` plus the live columns ``[lo_b, hi_b)``
+          that exceed the target, and
+        * the interpolation pair ``h_lo``/``h_hi`` at columns
+          ``count - 1`` and ``count``, window offsets ``count - lo_b``
+          and ``count - lo_b + 1`` — never clamped for an interior
+          count, and unused (fixed ages) at ``count == 0`` and
+          ``count == n_y``.
+
+        Every window value is the same four products and left-to-right
+        corner sum (:func:`_sum_corners`) as the full-curve blend, so
+        results are bit-identical to :meth:`_ages_on_curves`, which stays
+        the path for non-monotone tables.  ``weights``, ``rows``, and
+        ``bases`` may carry the stacked corner weights
         (:meth:`_corner_weights`) and corner row/offset indices
         (:meth:`_corner_rows`) so a caller that also performs the
         forward read (:meth:`_walk_flat`) computes them once.
@@ -383,135 +405,45 @@ class AgingTable:
         if rows is None:
             rows, bases = self._corner_rows(it, idx_d)
         # Bilinear corner weights stacked (4, batch): one in-place
-        # (4, batch) product per blend replaces four per-corner
-        # products; per element the multiply and the left-to-right
-        # accumulation are the same IEEE ops as the unstacked
-        # ``w00*g0 + w01*g1 + w10*g2 + w11*g3`` expression.
+        # product per blend; per element the multiply and the
+        # left-to-right accumulation are the same IEEE ops as the
+        # unstacked ``w00*g0 + w01*g1 + w10*g2 + w11*g3`` expression.
         if weights is None:
             weights = self._corner_weights(ft, fd)
-        count = self._crossing_counts(health_b, weights, rows, bases)
-        return self._interpolate_counts(count, health_b, weights, bases)
-
-    def _crossing_counts(self, health_b, weights, rows, bases) -> np.ndarray:
-        """Number of age columns whose blended health strictly exceeds
-        the target (monotone tables only).
-
-        count = number of age columns whose blended health strictly
-        exceeds the target, bracketed by the count tables (see
-        :meth:`_count_bounds`).  Only the residual ambiguous columns
-        — corner values hugging the target, e.g. pristine health 1.0
-        against the flat start of every curve — are sampled, with the
-        very IEEE products and left-to-right sums of the full-curve
-        blend, so the count is bit-identical to
-        :meth:`_ages_on_curves`.  Corners mostly agree, so the bulk
-        of a batch needs no sample at all or a single vectorized
-        comparison, and only genuine corner disagreement — a
-        near-dead hot corner next to a pristine cool one — gathers
-        its few ambiguous columns.
-        """
         n_y = len(self.age_grid_years)
-        flat = self._values_flat
-        lo_b, hi_b, flat_floor = self._count_bounds(rows, weights > 0.0, health_b)
+        lo_b, hi_b = self._count_bounds(rows, weights > 0.0, health_b)
         gap = hi_b - lo_b
-        # A positive corner that is constant over the ambiguous columns
-        # (all inside its leading flat run) contributes the same addend
-        # to every one of those blends; when all positive corners are,
-        # the whole span shares one blended value — one sample decides
-        # every ambiguous column at once.  A gap of one column is the
-        # trivial span; the classic non-trivial case is a flat duty-0
-        # curve against pristine health, ambiguous across the entire
-        # age axis yet a single comparison.  The sample is taken for
-        # the whole batch (gap-0 elements add ``gap == 0`` regardless
-        # of the comparison, and the column clamp only ever binds for
-        # them) — cheaper than the subset gathers it replaces when, as
-        # in Algorithm 1's scoring batches, most elements are ambiguous.
-        one_sample = (gap <= 1) | (hi_b <= flat_floor)
-        g = flat[bases + np.minimum(lo_b, n_y - 1)]
-        g *= weights
-        acc = _sum_corners(g)
-        count = lo_b + np.where((acc > health_b) & one_sample, gap, 0)
-        wide = np.flatnonzero(~one_sample)
-        if wide.size:
-            # Genuine corner disagreement over a sloped stretch — e.g. a
-            # near-dead hot corner next to a pristine cool one.  Only
-            # the ambiguous columns ``[lo_b, hi_b)`` can decide the
-            # count: every column below ``lo_b`` blends above the
-            # target and every column at or past ``hi_b`` blends below
-            # it (the bracket argument of :meth:`_count_bounds`), so a
-            # gap-padded gather — rows padded to the widest gap, pad
-            # columns masked out — counts exactly what the full-curve
-            # comparison counted, without materializing ``n_y``-wide
-            # curves.  The blends themselves are the same IEEE products
-            # and left-to-right sums either way.
-            lo_w = lo_b[wide]
-            cols = lo_w[:, None] + np.arange(int(gap[wide].max()))
-            live = cols < hi_b[wide, None]
-            np.minimum(cols, n_y - 1, out=cols)
-            g = flat[bases[:, wide, None] + cols[None, :, :]]
-            g *= weights[:, wide, None]
-            acc = _sum_corners(g)
-            count[wide] = lo_w + np.count_nonzero(
-                (acc > health_b[wide, None]) & live, axis=1
-            )
-        return count
-
-    def _interpolate_counts(self, count, health_b, weights, bases) -> np.ndarray:
-        """Ages from crossing counts: blend both bracketing columns.
-
-        Elements with ``count == 0`` (age 0) or ``count == n_y`` (edge
-        clamp) take fixed values, so the two-column blend only has to
-        run on the interior elements; when enough of the batch sits on
-        those fixed values — the common campaign shape, where pristine
-        and fenced-dark cores dominate — the blend gathers the interior
-        subset instead.  Either branch computes the identical IEEE
-        products, sums and quotient per interior element, so the choice
-        (a pure cost heuristic) never changes a bit.
-        """
-        n_y = len(self.age_grid_years)
-        batch = count.shape[0]
-        flat = self._values_flat
+        batch = gap.shape[0]
+        # Window row j holds column lo_b - 1 + j; rows 1..gap are the
+        # live bracket, the rest pad or flank it.  Offsets run along
+        # the leading axis so each step below is a batch-long kernel.
+        width = int(gap.max()) + 2
+        cols = np.arange(width)[:, None] + (lo_b - 1)
+        np.maximum(cols, 0, out=cols)
+        np.minimum(cols, n_y - 1, out=cols)
+        window = self._values_flat.take(bases[:, None, :] + cols)
+        window *= weights[:, None, :]
+        window = _sum_corners(window)
+        above = window[1:] > health_b
+        above &= np.arange(width - 1)[:, None] < gap
+        # Column count - 1 (``h_lo``) sits at window row k = count - lo_b.
+        k = above.sum(axis=0)
+        count = lo_b + k
+        at = k * batch + np.arange(batch)
+        window = window.reshape(-1)
+        h_lo = window.take(at)
+        h_hi = window.take(at + batch)  # smaller or equal to h_lo
+        span = h_lo - h_hi
+        # Masked divide instead of errstate + where: zero-span segments
+        # keep the 0.0 fill, dividing elements produce the identical
+        # quotient, and the invalid operation never executes.
+        frac = np.zeros(batch)
+        np.divide(h_lo - health_b, span, out=frac, where=span > 0)
+        frac = np.minimum(np.maximum(frac, 0.0), 1.0)
         lo = np.minimum(np.maximum(count - 1, 0), n_y - 2)
-        at_start = count == 0
-        at_end = count == n_y
-        interior = np.flatnonzero(~at_start & ~at_end)
-        if interior.size * 4 >= batch * 3:
-            # Mostly interior: the full-batch blend skips the subset
-            # gathers (fixed-value elements are overridden below).
-            cols = np.empty((2, batch), dtype=np.intp)
-            cols[0] = lo
-            np.add(lo, 1, out=cols[1])
-            g = flat[bases[:, None, :] + cols]
-            g *= weights[:, None, :]
-            acc = _sum_corners(g)
-            h_lo, h_hi = acc[0], acc[1]  # h_hi smaller or equal to h_lo
-            span = h_lo - h_hi
-            # Masked divide instead of errstate + where: zero-span
-            # segments keep the 0.0 fill, dividing elements produce the
-            # identical quotient, and the invalid operation never
-            # executes.
-            frac = np.zeros(batch)
-            np.divide(h_lo - health_b, span, out=frac, where=span > 0)
-            frac = np.minimum(np.maximum(frac, 0.0), 1.0)
-            ages = self.age_grid_years[lo] + frac * self._age_spans[lo]
-        else:
-            lo_i = lo[interior]
-            cols = np.empty((2, interior.size), dtype=np.intp)
-            cols[0] = lo_i
-            np.add(lo_i, 1, out=cols[1])
-            g = flat[bases[:, None, interior] + cols]
-            g *= weights[:, None, interior]
-            acc = _sum_corners(g)
-            h_lo, h_hi = acc[0], acc[1]
-            span = h_lo - h_hi
-            frac = np.zeros(interior.size)
-            np.divide(h_lo - health_b[interior], span, out=frac, where=span > 0)
-            frac = np.minimum(np.maximum(frac, 0.0), 1.0)
-            ages = np.zeros(batch)
-            ages[interior] = (
-                self.age_grid_years[lo_i] + frac * self._age_spans[lo_i]
-            )
-        ages = np.where(at_start, 0.0, ages)
-        ages = np.where(at_end, self.max_age_years, ages)
+        ages = self.age_grid_years[lo] + frac * self._age_spans[lo]
+        ages[count == 0] = 0.0
+        ages[count == n_y] = self.max_age_years
         return ages
 
     def _ages_on_curves(self, curves, health_b) -> np.ndarray:

@@ -23,9 +23,12 @@ results bit-identical to the table method:
    and every not-chosen core of a candidate row).
 
 2. **The table walk** (``AgingTable._walk_flat``) for the stressed
-   remainder.  The walk computes each element from its own inputs
-   alone, so walking the subset returns the bits a whole-batch walk
-   would.
+   remainder.  It inverts each element from one blended window of its
+   age-axis curve, bracketed by the table's count tables (see
+   :meth:`repro.aging.tables.AgingTable._ages_located`), then reads the
+   health ``epoch`` further along the axis.  The walk computes each
+   element from its own inputs alone, so walking the subset returns
+   the bits a whole-batch walk would.
 
 The engine holds no state: its output and counters are a pure function
 of its inputs.  It times itself under ``aging.walk`` and counts
@@ -55,7 +58,10 @@ class WalkEngine:
 
         Mirrors the table method's broadcasting and validation exactly.
         Idle elements (see the module doc) take the closed form when the
-        table admits it; only the rest walk.
+        table admits it; only the rest walk.  The output starts as a
+        copy of the health, which is already the answer for degraded
+        idle elements, so only the pristine idle and the stressed
+        subsets are gathered and scattered.
         """
         if epoch_years < 0:
             raise ValueError("epoch_years must be non-negative")
@@ -75,52 +81,48 @@ class WalkEngine:
         obs = get_registry()
         with obs.timer("aging.walk"):
             table = self.table
-            idle_idx = ()
+            n_idle = 0
             # A NaN epoch propagates through the walk; it gets no shortcut.
             if table._idle_exact and epoch_years == epoch_years:
                 idle = d <= table.duty_grid[0]
                 idle &= h <= 1.0
                 idle &= np.isfinite(t)
-                idle_idx = np.flatnonzero(idle)
-            if len(idle_idx) == 0:
-                out = table._walk_flat(t, d, h, epoch_years)
-            else:
-                obs.inc("aging.walk_idle", idle_idx.size)
-                out = np.empty(t.shape[0])
-                out[idle_idx] = self._idle_health(
-                    t[idle_idx], h[idle_idx], epoch_years
+                n_idle = int(np.count_nonzero(idle))
+            if n_idle == 0:
+                return table._walk_flat(t, d, h, epoch_years).reshape(shape)
+            obs.inc("aging.walk_idle", n_idle)
+            out = h.copy()
+            fresh = np.flatnonzero(idle & (h == 1.0))
+            if fresh.size:
+                out[fresh] = self._idle_health(t.take(fresh), epoch_years)
+            if n_idle < t.shape[0]:
+                busy = np.flatnonzero(~idle)
+                out[busy] = table._walk_flat(
+                    t.take(busy), d.take(busy), h.take(busy), epoch_years
                 )
-                if idle_idx.size < t.shape[0]:
-                    busy = np.flatnonzero(~idle)
-                    out[busy] = table._walk_flat(
-                        t[busy], d[busy], h[busy], epoch_years
-                    )
         return out.reshape(shape)
 
-    def _idle_health(self, t, h, epoch_years) -> np.ndarray:
-        """Next health of idle elements, bit-identical to the walk.
+    def _idle_health(self, t, epoch_years) -> np.ndarray:
+        """Next health of pristine idle elements, bit-identical to the
+        walk.
 
-        Degraded elements keep ``h``; pristine ones read the duty-0
-        forward sum at age ``0.0 + epoch`` (derivation in the module
-        doc).  ``fy`` is the very ``_axis_weights`` value the walk
-        locates after its age-0 clamp; the locate is elementwise, so
-        one call on that single age gives the same bits.
+        They read the duty-0 forward sum at age ``0.0 + epoch``
+        (derivation in the module doc).  ``fy`` is the very
+        ``_axis_weights`` value the walk locates after its age-0 clamp;
+        the locate is elementwise, so one call on that single age gives
+        the same bits.
         """
-        out = h.copy()
-        fresh = np.flatnonzero(h == 1.0)
-        if fresh.size:
-            table = self.table
-            _, ft = _axis_weights(table.temp_grid_k, t[fresh], table._temp_spans)
-            _, fy = _axis_weights(
-                table.age_grid_years, np.array([0.0 + epoch_years]),
-                table._age_spans,
-            )
-            fy = fy[0]
-            omy = 1.0 - fy
-            w0 = 1.0 - ft
-            s = w0 * omy
-            s += w0 * fy
-            s += ft * omy
-            s += ft * fy
-            out[fresh] = np.minimum(s, 1.0)
-        return out
+        table = self.table
+        _, ft = _axis_weights(table.temp_grid_k, t, table._temp_spans)
+        _, fy = _axis_weights(
+            table.age_grid_years, np.array([0.0 + epoch_years]),
+            table._age_spans,
+        )
+        fy = fy[0]
+        omy = 1.0 - fy
+        w0 = 1.0 - ft
+        s = w0 * omy
+        s += w0 * fy
+        s += ft * omy
+        s += ft * fy
+        return np.minimum(s, 1.0)

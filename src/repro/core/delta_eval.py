@@ -69,18 +69,14 @@ from repro.thermal.predictor import ThermalPredictor
 __all__ = [
     "DeltaEvaluator",
     "DeltaOptions",
-    "configure_delta_eval",
     "current_delta_options",
     "delta_options",
 ]
 
 
-_UNSET = object()
-
-
 @dataclass(frozen=True)
 class DeltaOptions:
-    """Process/context-scoped delta-candidate options.
+    """Context-scoped delta-candidate options.
 
     ``enabled=False`` (the ``--no-delta-candidates`` escape hatch)
     restores the dense per-candidate ``predict_batch`` exactly.
@@ -101,32 +97,13 @@ class DeltaOptions:
     min_dense_rows: int = 8192
 
 
-_process_options = DeltaOptions()
 _override_stack: list[DeltaOptions] = []
 
 
-def configure_delta_eval(*, enabled=None, min_dense_rows=None) -> DeltaOptions:
-    """Set process-level delta options (the CLI's
-    ``--no-delta-candidates``).  ``None`` keeps the current setting;
-    context overrides from :func:`delta_options` still take precedence.
-    """
-    global _process_options
-    base = _process_options
-    _process_options = DeltaOptions(
-        enabled=base.enabled if enabled is None else bool(enabled),
-        min_dense_rows=(
-            base.min_dense_rows
-            if min_dense_rows is None
-            else int(min_dense_rows)
-        ),
-    )
-    return _process_options
-
-
 def current_delta_options() -> DeltaOptions:
-    """The options in effect: innermost :func:`delta_options` context,
-    or the process-level defaults."""
-    return _override_stack[-1] if _override_stack else _process_options
+    """The options in effect: the innermost :func:`delta_options`
+    context, or the defaults."""
+    return _override_stack[-1] if _override_stack else DeltaOptions()
 
 
 @contextmanager

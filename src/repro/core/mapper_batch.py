@@ -214,6 +214,8 @@ def map_threads_batch(
     as one lockstep pass.
     """
     lanes = list(lanes)
+    for lane in lanes:
+        _check_hooks(lane.mapper.estimator)
     results: list[list[int]] = [[] for _ in lanes]
     pending = list(range(len(lanes)))
     obs = get_registry()
@@ -234,6 +236,30 @@ def map_threads_batch(
         for i, run in zip(group, runs):
             results[i] = run.unmapped
     return results
+
+
+#: Estimator methods the engine does not call, with the hooks it calls
+#: in their place.
+_UNCALLED_HOOKS = {
+    "estimate_next_health": "OnlineHealthEstimator.estimate_next_health_rows",
+    "predict_temperature_batch": "ThermalPredictor.predict_batch",
+}
+
+
+def _check_hooks(estimator: OnlineHealthEstimator) -> None:
+    """Reject an estimator whose override the engine would ignore.
+
+    The stacked rounds call ``estimate_next_health_rows`` and the
+    predictor's ``predict_batch`` directly, so an override of the
+    per-candidate entry points would silently never run.
+    """
+    cls = type(estimator)
+    for name, hook in _UNCALLED_HOOKS.items():
+        if getattr(cls, name) is not getattr(OnlineHealthEstimator, name):
+            raise TypeError(
+                f"{cls.__name__} overrides {name}, which map_threads_batch "
+                f"never calls; override {hook} instead"
+            )
 
 
 def _map_group(runs: list[_LaneRun], epoch_years: float) -> None:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.aging import AgingTable, CoreAgingEstimator
-from repro.aging.tables import build_aging_table
+from repro.aging.tables import _axis_weights, build_aging_table
+from repro.aging.walk import WalkEngine
 
 
 class TestForwardLookup:
@@ -197,9 +198,33 @@ class TestValidation:
             AgingTable.load(path)
 
 
+def _monotone_table(rng, nt, nd, ny) -> AgingTable:
+    """A random table, non-increasing along the age axis, with exact
+    flat runs and a duty-0 slice of exactly 1.0 (the physical shape)."""
+    temp = 280.0 + np.cumsum(rng.uniform(5.0, 30.0, nt))
+    duty = np.concatenate([[0.0], np.cumsum(rng.uniform(0.02, 0.2, nd - 1))])
+    age = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 5.0, ny - 1))])
+    factors = rng.uniform(0.9, 1.0, (nt, nd, ny))
+    factors[rng.random((nt, nd, ny)) < 0.3] = 1.0
+    factors[..., 0] = 1.0
+    factors[:, 0, :] = 1.0
+    values = np.maximum(np.cumprod(factors, axis=-1), 1e-3)
+    return AgingTable(temp, duty / duty[-1], age, values)
+
+
+def _same_bits(got, want) -> None:
+    """Bit-for-bit equality, NaN payloads included."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestBracketedInverse:
-    """The count-bracket fast path of ``_ages_located`` must reproduce
-    the exhaustive full-curve inversion bit for bit."""
+    """The one-window inverse of ``_ages_located`` (count-table bracket,
+    one blended window per element) and the walks built on it must
+    reproduce the exhaustive compose
+    ``min(health(T, d, _ages_on_curves(_health_curves(T, d), h) + e), h)``
+    bit for bit."""
 
     def _reference_ages(self, table, temp, duty, health):
         """Exhaustive path: blend full age curves, invert them."""
@@ -250,6 +275,100 @@ class TestBracketedInverse:
         ages = aging_table.equivalent_age(temp, duty, health) + 0.5
         read = aging_table.health(temp, duty, ages)
         np.testing.assert_array_equal(walked, np.minimum(read, health))
+
+    def _check(self, table, t, d, h, epoch):
+        ages = self._reference_ages(table, t, d, h)
+        want = np.minimum(table.health(t, d, ages + epoch), h)
+        _same_bits(table.equivalent_age(t, d, h), ages)
+        _same_bits(table._walk_flat(t, d, h, epoch), want)
+        _same_bits(WalkEngine(table).next_health(t, d, h, epoch), want)
+
+    @staticmethod
+    def _batch(rng, table, b):
+        """Stressed and idle elements, pristine and stored-value
+        targets, NaN temperatures and duties."""
+        tg = table.temp_grid_k
+        t = rng.uniform(tg[0] - 15.0, tg[-1] + 15.0, b)
+        d = rng.uniform(0.0, 1.0, b)
+        h = rng.uniform(0.2, 1.0, b)
+        d[rng.random(b) < 0.15] = 0.0
+        d[rng.random(b) < 0.1] = 1.0
+        low = rng.random(b) < 0.15
+        d[low] = rng.uniform(0.0, table.duty_grid[1], int(low.sum()))
+        h[rng.random(b) < 0.25] = 1.0
+        stored = rng.random(b) < 0.3
+        h[stored] = table._values_flat[
+            rng.integers(0, table._values_flat.size, int(stored.sum()))
+        ]
+        t[rng.random(b) < 0.04] = np.nan
+        d[rng.random(b) < 0.04] = np.nan
+        return t, d, h
+
+    def _fuzz(self, table, seed, rounds):
+        rng = np.random.default_rng(seed)
+        past_grid = 2.0 * table.max_age_years
+        for i in range(rounds):
+            b = (1, 2)[i] if i < 2 else int(rng.integers(3, 120))
+            t, d, h = self._batch(rng, table, b)
+            for epoch in (0.0, 0.5, past_grid, np.nan):
+                self._check(table, t, d, h, epoch)
+
+    def test_fuzz_fixture_table(self, aging_table):
+        assert aging_table._counts_exact
+        self._fuzz(aging_table, 11, 40)
+
+    def test_fuzz_random_tables(self):
+        rng = np.random.default_rng(12)
+        for seed in range(6):
+            table = _monotone_table(rng, 5, 6, 12)
+            assert table._age_monotone and table._idle_exact
+            self._fuzz(table, seed, 15)
+
+    def test_stored_value_targets_on_grid(self, aging_table):
+        """On-grid (T, d) and targets equal to stored values: the blend
+        hits the target exactly, at the bracket's edges."""
+        rng = np.random.default_rng(13)
+        b = 400
+        i = rng.integers(0, len(aging_table.temp_grid_k), b)
+        j = rng.integers(0, len(aging_table.duty_grid), b)
+        k = rng.integers(0, len(aging_table.age_grid_years), b)
+        t = aging_table.temp_grid_k[i]
+        d = aging_table.duty_grid[j]
+        h = aging_table.values[i, j, k]
+        for epoch in (0.0, 0.5):
+            self._check(aging_table, t, d, h, epoch)
+
+    def test_full_axis_bracket_mixed_with_narrow(self, aging_table):
+        """Pristine elements at duty in (0, duty_grid[1]) blend the flat
+        duty-0 curve, so their bracket spans the whole age axis; mixed
+        into a batch of narrow brackets, every window pads to that width."""
+        rng = np.random.default_rng(14)
+        n_y = len(aging_table.age_grid_years)
+        b = 64
+        t = rng.uniform(300.0, 420.0, b)
+        d = rng.uniform(0.3, 1.0, b)
+        h = rng.uniform(0.7, 0.99, b)
+        wide = np.arange(0, b, 8)
+        d[wide] = rng.uniform(0.0, aging_table.duty_grid[1], wide.size)
+        d[wide[0]] = 0.5 * aging_table.duty_grid[1]
+        h[wide] = 1.0
+        it, ft = _axis_weights(aging_table.temp_grid_k, t)
+        idx_d, fd = _axis_weights(aging_table.duty_grid, d)
+        rows, _ = aging_table._corner_rows(it, idx_d)
+        weights = aging_table._corner_weights(ft, fd)
+        lo_b, hi_b = aging_table._count_bounds(rows, weights > 0.0, h)
+        assert (lo_b[wide] == 0).all() and (hi_b[wide] == n_y).all()
+        narrow = np.setdiff1d(np.arange(b), wide)
+        assert (hi_b[narrow] - lo_b[narrow]).max() < n_y // 2
+        for epoch in (0.0, 0.5, 3.0 * aging_table.max_age_years):
+            self._check(aging_table, t, d, h, epoch)
+
+    def test_dyadic_count_tables(self):
+        """A table with too many distinct values for exact count tables
+        falls back to dyadic edges and wider brackets, still exact."""
+        table = _monotone_table(np.random.default_rng(15), 15, 20, 40)
+        assert not table._counts_exact
+        self._fuzz(table, 16, 12)
 
 
 class TestVectorizedBuild:

@@ -26,7 +26,6 @@ from repro.core.dcm import temperature_optimized_dcm
 from repro.core.delta_eval import (
     DeltaEvaluator,
     DeltaOptions,
-    configure_delta_eval,
     current_delta_options,
     delta_options,
 )
@@ -443,15 +442,6 @@ class TestOptionsPlumbing:
             with delta_options(enabled=True):
                 assert current_delta_options().min_dense_rows == 0
         assert current_delta_options().min_dense_rows == default
-
-    def test_configure_process_level(self):
-        try:
-            configure_delta_eval(enabled=False)
-            assert not current_delta_options().enabled
-            with delta_options(enabled=True):
-                assert current_delta_options().enabled
-        finally:
-            configure_delta_eval(enabled=True)
 
     def test_config_field_default(self):
         assert SimulationConfig().delta_candidates is True

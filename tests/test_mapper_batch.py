@@ -300,6 +300,48 @@ class TestLockstepBitIdentity:
         assert registry.counter("sim.decision_batched_lanes") == 5
 
 
+class TestUncalledOverrides:
+    """An estimator override the engine would never call is an error,
+    raised before any lane is mapped."""
+
+    @pytest.mark.parametrize(
+        "method, hook",
+        [
+            ("estimate_next_health", "estimate_next_health_rows"),
+            ("predict_temperature_batch", "ThermalPredictor.predict_batch"),
+        ],
+    )
+    def test_override_raises_before_mapping(
+        self, rig, population, floorplan, method, hook
+    ):
+        influence, estimators = rig
+
+        def ignored(self, *args, **kwargs):
+            raise AssertionError("the engine called an override")
+
+        subclass = type("Overriding", (OnlineHealthEstimator,), {method: ignored})
+        stock = estimators[0]
+        odd = subclass(stock.predictor, stock.table)
+        lanes = [
+            MapperLane(
+                mapper=HayatMapper(est),
+                state=build_state(chip, floorplan, influence, APPS[0], 12, 3),
+                fmax_now_ghz=chip.fmax_init_ghz,
+                health_now=np.ones(chip.num_cores),
+                elapsed_years=0.0,
+            )
+            for chip, est in zip(population[:2], (stock, odd))
+        ]
+        with pytest.raises(TypeError, match=f"Overriding overrides {method}.*{hook}"):
+            map_threads_batch(lanes, 0.5)
+        assert (lanes[0].state.assignment < 0).all()
+        with pytest.raises(TypeError, match=method):
+            HayatMapper(odd).map_threads(
+                lanes[1].state, lanes[1].fmax_now_ghz, lanes[1].health_now,
+                0.5, 0.0,
+            )
+
+
 class TestManagerBatch:
     def test_prepare_epoch_batch_matches_per_lane(self, population, aging_table):
         """The full manager path — DCM, fencing, batched mapping,
