@@ -35,17 +35,6 @@ BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
 POPULATION_SEED = 42
 WORKLOAD_SEED = 1
 
-#: Wall-clock-asserting perf benches skip on 1-core hosts: a box with
-#: no spare core cannot absorb background load, so timing thresholds
-#: and A/B ratios flake.  ``REPRO_BENCH_FORCE=1`` overrides the skip
-#: (e.g. to record an honest measurement on a constrained recorder).
-multicore_perf = pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2 and os.environ.get("REPRO_BENCH_FORCE") != "1",
-    reason="perf thresholds are unreliable on 1-core hosts "
-    "(set REPRO_BENCH_FORCE=1 to run anyway)",
-)
-
-
 def bench_config(dark_fraction_min: float) -> SimulationConfig:
     """The evaluation configuration at a given dark-silicon floor."""
     return SimulationConfig(

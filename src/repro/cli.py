@@ -33,7 +33,6 @@ from repro.core import HayatManager
 from repro.obs import disable_metrics, enable_metrics
 from repro.sim import ChipContext, LifetimeSimulator, SimulationConfig, run_campaign
 from repro.sim.export import save_results_json, save_summary_csv, save_trace_jsonl
-from repro.thermal import configure_thermal_cache
 from repro.util.constants import AMBIENT_KELVIN
 from repro.variation import generate_population
 
@@ -57,26 +56,10 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
         metavar="PATH",
         help="write a JSONL trace (spans, counters, timers) to PATH",
     )
-    parser.add_argument(
-        "--no-thermal-cache",
-        action="store_true",
-        help=(
-            "disable the process-level thermal compute cache (results are "
-            "bit-identical either way; use to time the uncached path)"
-        ),
-    )
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     """Flags that become the run's ``SimulationConfig`` fields."""
-    parser.add_argument(
-        "--no-fused-window",
-        action="store_true",
-        help=(
-            "run the transient window step by step instead of through the "
-            "fused segment engine (results are bit-identical either way)"
-        ),
-    )
     parser.add_argument(
         "--no-delta-candidates",
         action="store_true",
@@ -134,8 +117,9 @@ def _add_batch_flags(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help=(
             "chips per batched simulation unit (default: auto-sized from "
-            "the population and worker count; results are bit-identical "
-            "to the per-chip path)"
+            "the population and worker count); the default delta-candidate "
+            "gate counts stacked rows, so a chip's result can depend on its "
+            "batch mates (see ROADMAP.md on batch-mate independence)"
         ),
     )
     group.add_argument(
@@ -355,8 +339,7 @@ def _cmd_simulate(args) -> int:
     table = default_aging_table()
     config = SimulationConfig(
         lifetime_years=args.years, dark_fraction_min=args.dark, window_s=10.0,
-        seed=args.seed, fused_window=not args.no_fused_window,
-        delta_candidates=not args.no_delta_candidates,
+        seed=args.seed, delta_candidates=not args.no_delta_candidates,
     )
     policy = POLICIES[args.policy]()
     print(f"Simulating {chip.chip_id} under {policy.name} for {args.years} years...")
@@ -394,8 +377,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_campaign(args) -> int:
     config = SimulationConfig(
         lifetime_years=args.years, dark_fraction_min=args.dark, window_s=10.0,
-        seed=args.seed, fused_window=not args.no_fused_window,
-        delta_candidates=not args.no_delta_candidates,
+        seed=args.seed, delta_candidates=not args.no_delta_candidates,
     )
     print(
         f"Campaign: {args.chips} chips x {args.years} years x "
@@ -480,7 +462,6 @@ def _cmd_sweep(args) -> int:
 
     config = SimulationConfig(
         lifetime_years=args.years, window_s=10.0, seed=args.seed,
-        fused_window=not args.no_fused_window,
         delta_candidates=not args.no_delta_candidates,
     )
     print(
@@ -590,8 +571,6 @@ def _cmd_serve(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    if getattr(args, "no_thermal_cache", False):
-        configure_thermal_cache(enabled=False)
     handlers = {
         "chip": _cmd_chip,
         "simulate": _cmd_simulate,

@@ -89,8 +89,12 @@ class DeltaOptions:
     single-lane round, rows*n ~ 4k), so one-lane mapping
     stays dense while stacked multi-lane rounds engage.  ``0`` forces
     the delta path for every round (the accuracy/identity tests use
-    this); decisions are identical either way, only the arithmetic
-    route changes.
+    this).  The two routes round differently, and a decision near a
+    tie can flip between them; because the gate counts *stacked* rows,
+    a lane's route — and so a chip's lifetime — can depend on how many
+    lanes share its round.  ROADMAP.md measured 5 of 96 lifetimes
+    changing with batch size at one BLAS thread; with ``0``, 16 of 16
+    matched.
     """
 
     enabled: bool = True

@@ -3,7 +3,7 @@
 Two registry implementations share one call-site protocol:
 
 * :class:`MetricsRegistry` — the real thing: monotonic counters, last-
-  write gauges, wall-clock timer spans (with nesting depth), and an
+  write gauges, wall-clock timer spans keyed by their span path, and an
   optional bounded trace-event buffer.
 * :class:`NullRegistry` — the process-global default: every method is
   an empty body, so instrumented hot paths cost one attribute lookup
@@ -13,6 +13,14 @@ All state lives in plain dicts/lists of JSON-compatible scalars, so a
 :class:`MetricsSnapshot` pickles across ``spawn`` process boundaries and
 merges associatively: merging the per-run snapshots of a parallel
 campaign yields the same counters a serial run accumulates in place.
+
+Timers are keyed by *span path*: the names of the open spans from the
+outermost in, joined by ``/``.  The aging-table walk, which runs under
+the decision, settle and aging phases alike, therefore records one
+aggregate per calling phase, e.g.
+``campaign.run/sim.epoch/sim.decision/aging.walk``.  A span opened with
+no enclosing span keeps its bare name (``sim.epoch`` in a plain
+simulation).
 """
 
 from __future__ import annotations
@@ -102,20 +110,11 @@ class MetricsSnapshot:
         return self.counters.get(name, default)
 
 
-#: Timer names that additionally record a ``name@parent`` aggregate on
-#: exit, where ``parent`` is the innermost enclosing span at entry.
-#: This gives shared subsystems (the aging-table walk runs under the
-#: decision, aging, and settle phases alike) per-parent attribution
-#: without touching call sites.  Keep this list to timers whose set of
-#: parents is identical across serial and parallel campaign execution —
-#: the parallel-equivalence tests compare timer-count dicts verbatim.
-ATTRIBUTED_TIMERS = frozenset({"aging.walk", "sim.delta_eval"})
-
-
 class _Span:
-    """A running timer span; records duration (and a trace event) on exit."""
+    """A running timer span; records duration under its span path (and a
+    trace event) on exit."""
 
-    __slots__ = ("_registry", "_name", "_fields", "_start", "_depth")
+    __slots__ = ("_registry", "_name", "_fields", "_start", "_depth", "_path")
 
     def __init__(self, registry: "MetricsRegistry", name: str, fields: dict):
         self._registry = registry
@@ -125,8 +124,9 @@ class _Span:
     def __enter__(self) -> "_Span":
         registry = self._registry
         stack = registry._span_stack
-        self._depth = len(stack)
-        stack.append(self._name)
+        self._depth = depth = len(stack)
+        self._path = f"{stack[-1]}/{self._name}" if depth else self._name
+        stack.append(self._path)
         self._start = time.perf_counter()
         return self
 
@@ -136,16 +136,10 @@ class _Span:
         stack = registry._span_stack
         del stack[self._depth :]
         duration = end - self._start
-        stats = registry._timers.get(self._name)
+        stats = registry._timers.get(self._path)
         if stats is None:
-            stats = registry._timers[self._name] = TimerStats()
+            stats = registry._timers[self._path] = TimerStats()
         stats.observe(duration)
-        if self._name in ATTRIBUTED_TIMERS and stack:
-            qualified = f"{self._name}@{stack[-1]}"
-            qstats = registry._timers.get(qualified)
-            if qstats is None:
-                qstats = registry._timers[qualified] = TimerStats()
-            qstats.observe(duration)
         if registry.tracing:
             registry._append_event(
                 {
@@ -200,6 +194,7 @@ class MetricsRegistry:
         self._timers: dict = {}
         self._events: list = []
         self._dropped = 0
+        #: Paths of the open spans, outermost first.
         self._span_stack: list = []
         self._epoch = time.perf_counter()
 
@@ -250,18 +245,28 @@ class MetricsRegistry:
         )
 
     def merge_snapshot(self, snapshot: MetricsSnapshot) -> None:
-        """Fold a (worker's) snapshot into this registry."""
+        """Fold a (worker's) snapshot into this registry.
+
+        Timer paths and span-event depths are re-rooted under the
+        currently open span, so a snapshot recorded in a fresh registry
+        merges to what the same spans would have recorded here in place.
+        """
         for name, value in snapshot.counters.items():
             self.inc(name, value)
         self._gauges.update(snapshot.gauges)
+        prefix = f"{self._span_stack[-1]}/" if self._span_stack else ""
         for name, stats in snapshot.timers.items():
-            mine = self._timers.get(name)
+            mine = self._timers.get(prefix + name)
             if mine is None:
-                self._timers[name] = stats.copy()
+                self._timers[prefix + name] = stats.copy()
             else:
                 mine.merge(stats)
+        depth = len(self._span_stack)
         for event in snapshot.events:
-            self._append_event(dict(event))
+            event = dict(event)
+            if depth and event.get("kind") == "span":
+                event["depth"] += depth
+            self._append_event(event)
         self._dropped += snapshot.dropped_events
 
     def reset(self) -> None:

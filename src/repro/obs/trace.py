@@ -40,7 +40,9 @@ TRACE_SCHEMA: dict = {
     },
 }
 
-TRACE_VERSION = 1
+#: Version 2: timer lines are named by span path
+#: (``sim.epoch/sim.decision/aging.walk``), not by bare span name.
+TRACE_VERSION = 2
 
 
 def validate_trace_line(obj) -> list:

@@ -36,9 +36,10 @@ segment boundaries fall.  Policies and the DTM must be stateless across
 ``prepare_epoch``/``enforce`` calls (all built-ins are — the same
 contract serial campaign reuse already relies on).
 
-When a batch is ineligible — fewer than two chips, ``fused_window``
-off, a non-stock power-model stack, mismatched floorplans or table
-objects — :meth:`BatchLifetimeSimulator.run` falls back to per-chip
+When a batch is ineligible — fewer than two chips, a DTM policy
+without the fused-window contract, a non-stock power-model stack,
+mismatched floorplans or table objects —
+:meth:`BatchLifetimeSimulator.run` falls back to per-chip
 :class:`LifetimeSimulator` runs (counted by ``sim.batch_fallbacks``)
 and still returns identical results.
 """
@@ -117,8 +118,6 @@ class BatchLifetimeSimulator:
         """Why these contexts cannot share one lockstep pass (or None)."""
         if len(ctxs) < 2:
             return "fewer than two chips"
-        if not self.config.fused_window:
-            return "fused_window disabled"
         if not getattr(self.dtm, "supports_fused_windows", False):
             return "DTM policy lacks the fused-window contract"
         first = ctxs[0]
@@ -159,10 +158,14 @@ class BatchLifetimeSimulator:
     def run(self, ctxs: list[ChipContext], policy) -> list[LifetimeResult]:
         """Simulate every context's lifetime; one result per context.
 
-        ``results[i]`` is bit-identical to
+        Batched when the contexts are eligible, via the per-chip
+        simulator otherwise.  ``results[i]`` equals
         ``LifetimeSimulator(config, dtm, mix_factory).run(ctxs[i],
-        policy)`` — batched when the contexts are eligible, via the
-        per-chip simulator otherwise.
+        policy)`` bit for bit when every mapping round takes one
+        arithmetic route whatever the batch
+        (``delta_options(min_dense_rows=0)``); under the default cost
+        gate a chip's result can depend on its batch mates (see
+        ``batch_size`` in :func:`repro.sim.campaign.run_campaign`).
         """
         ctxs = list(ctxs)
         if not ctxs:
@@ -232,7 +235,7 @@ class BatchLifetimeSimulator:
         # loop otherwise.
         batch_prepare = getattr(policy, "prepare_epoch_batch", None)
         if batch_prepare is not None:
-            with obs.timer("sim.decision"), obs.timer("sim.batch_decision"):
+            with obs.timer("sim.decision"):
                 states = batch_prepare(
                     [lane.ctx for lane in lanes],
                     [lane.mix for lane in lanes],

@@ -31,7 +31,7 @@ from repro.sim.supervisor import (
     _init_worker,
     run_supervised_jobs,
 )
-from repro.thermal.cache import floorplan_signature, get_thermal_cache
+from repro.thermal.cache import floorplan_signature
 from repro.util.constants import AMBIENT_KELVIN
 from repro.variation.population import ChipPopulation, generate_population
 
@@ -204,7 +204,6 @@ def build_shared(
         # registries even in the serial path.
         "isolate_metrics": bool(isolate_metrics),
         "warm_floorplans": _distinct_floorplans(population),
-        "thermal_cache_enabled": get_thermal_cache().enabled,
     }
 
 
@@ -312,10 +311,16 @@ def run_campaign(
         that many same-policy, same-floorplan chips per unit;
         ``"auto"`` picks ``min(32, ceil(largest_group / workers))`` and
         falls back to per-chip when that leaves nothing to batch.
-        Results are bit-identical to the per-chip path either way, and
-        checkpoints stay per-chip (a resume may re-group survivors into
-        different batches without changing any result).  Batch sizing
-        is deliberately *not* part of the campaign digest.
+        Checkpoints stay per-chip, so a resume may re-group survivors
+        into different batches, and batch sizing is deliberately *not*
+        part of the campaign digest.  Results equal the per-chip path
+        bit for bit only when every mapping round takes one arithmetic
+        route whatever the batch (``delta_options(min_dense_rows=0)``).
+        By default the delta-candidate cost gate counts *stacked* rows,
+        and BLAS may round a one-row product differently from the same
+        row inside a larger one, so a chip's lifetime can depend on its
+        batch mates: ROADMAP.md measured 5 of 96 lifetimes changing
+        with one BLAS thread.
 
     Metrics: when the global :mod:`repro.obs` registry is enabled, every
     run records a ``campaign.run`` span plus the simulator/thermal

@@ -45,11 +45,6 @@ class SimulationConfig:
         aging, as the paper's Section II analysis describes.
     seed:
         Root seed for workload draws.
-    fused_window:
-        Run quiet window spans through the compiled fused engine
-        (:mod:`repro.sim.window`).  Results are bit-identical either
-        way; ``False`` (CLI ``--no-fused-window``) restores the
-        step-by-step reference path.
     delta_candidates:
         Evaluate Algorithm 1 candidate placements incrementally
         (:mod:`repro.core.delta_eval`): one base thermal solve per
@@ -71,7 +66,6 @@ class SimulationConfig:
     duty_scale: float = 1.0
     settle_duty_fraction: float = 0.3
     seed: int = 0
-    fused_window: bool = True
     delta_candidates: bool = True
 
     def __post_init__(self) -> None:

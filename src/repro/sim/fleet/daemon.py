@@ -13,7 +13,7 @@ daemon turns the one-shot campaign machinery into a service:
   the API, which also makes the queue itself crash-durable.
 * **Sharded supervised execution** — each request's jobs run through
   :func:`repro.sim.supervisor.run_supervised_jobs` exactly like a
-  one-shot campaign (same retries/batching/bit-identical results), but
+  one-shot campaign (same retries, batching and results), but
   against a *persistent* :class:`~repro.sim.supervisor.WorkerPoolHost`
   keyed by the campaign digest, so back-to-back requests of the same
   configuration reuse warm workers.
@@ -35,9 +35,11 @@ daemon turns the one-shot campaign machinery into a service:
   torn final record re-runs), the pending request is still in the
   spool, and the re-run answers the already-stored jobs from cache.
   Response aggregates are computed by folding store records in
-  canonical submission-key order — never completion order — so a
-  resumed request's ``aggregates`` are *bit-identical* to an
-  uninterrupted run's.
+  canonical submission-key order — never completion order.  The
+  re-run simulates only the missing jobs, in smaller batches, so a
+  resumed request's ``aggregates`` equal an uninterrupted run's bit for
+  bit only where batching leaves results alone (see ``batch_size`` in
+  :func:`repro.sim.campaign.run_campaign`).
 
 Responses deliberately carry no timestamps (timing lives in
 ``status.json``): only the execution stats (``cache_hits``,

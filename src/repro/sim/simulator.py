@@ -283,9 +283,10 @@ class LifetimeSimulator:
         reading in the DTM trigger band — run as compiled fused
         segments (see :mod:`repro.sim.window`); everything else runs
         the original step-by-step body.  Both paths are bit-identical;
-        ``--no-fused-window`` (``SimulationConfig.fused_window=False``)
-        or a DTM policy without the fused contract forces the latter
-        everywhere.
+        a DTM policy without the fused contract
+        (:attr:`~repro.dtm.policy.DTMPolicy.supports_fused_windows`)
+        runs the latter everywhere, and a thread trace that is not a
+        :class:`~repro.workload.traces.PhaseTrace` from its step on.
         """
         cfg = self.config
         dt = cfg.control_dt_s
@@ -301,13 +302,13 @@ class LifetimeSimulator:
         pending_departures: list[tuple[float, int, list[int]]] = []
         departure_seq = 0
 
-        engine: FusedWindowEngine | None = None
+        engine: FusedWindowEngine | None = FusedWindowEngine(
+            ctx.power_model, integrator, self.dtm
+        )
+        if not engine.supported:
+            engine = None
         times = None
         arrival_steps: list[int] = []
-        if cfg.fused_window:
-            engine = FusedWindowEngine(ctx.power_model, integrator, self.dtm)
-            if not engine.supported:
-                engine = None
         if engine is not None:
             # Step times computed exactly as the loop's `step * dt`
             # (int-to-float conversion is exact, the multiply is the

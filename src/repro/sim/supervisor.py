@@ -33,7 +33,9 @@ retry/deadline/checkpoint dispatch grain: one attempt simulates the
 whole batch, one deadline covers it, and its per-chip results are still
 checkpointed under their individual job keys (the unit's metrics
 snapshot rides on its last record) so a resume replays chips, not
-batches, and stays bit-identical whatever the batch size.  A unit that
+batches.  A resumed or demoted chip re-simulates in a smaller batch,
+which changes its result wherever batching does (see ``batch_size`` in
+:func:`repro.sim.campaign.run_campaign`).  A unit that
 exhausts its retries is *demoted* to singleton units — each granted one
 final attempt — so one poisoned chip cannot sink its batchmates: the
 innocents complete (and checkpoint) individually and only the true
@@ -70,11 +72,7 @@ from repro.sim.checkpoint import CampaignCheckpoint, job_key
 from repro.sim.context import ChipContext
 from repro.sim.results import LifetimeResult
 from repro.sim.simulator import LifetimeSimulator
-from repro.thermal.cache import (
-    configure_thermal_cache,
-    floorplan_signature,
-    warm_thermal_cache,
-)
+from repro.thermal.cache import floorplan_signature, warm_thermal_cache
 
 #: How long the pooled supervisor sleeps between completion scans.  Low
 #: enough that dispatch latency is invisible next to a lifetime job
@@ -101,14 +99,9 @@ def _init_worker(shared: dict) -> None:
     """
     _SHARED.clear()
     _SHARED.update(shared)
-    # Spawn workers start with a fresh (enabled) cache; mirror the
-    # parent's setting so a cache-disabled campaign is cache-disabled
-    # everywhere and counters again match the serial run.
-    configure_thermal_cache(enabled=shared["thermal_cache_enabled"])
-    if shared["thermal_cache_enabled"]:
-        config = shared["config"]
-        for floorplan in shared["warm_floorplans"]:
-            warm_thermal_cache(floorplan, dt_s=config.control_dt_s)
+    config = shared["config"]
+    for floorplan in shared["warm_floorplans"]:
+        warm_thermal_cache(floorplan, dt_s=config.control_dt_s)
 
 
 def _run_one(job):

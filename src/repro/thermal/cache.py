@@ -33,9 +33,9 @@ instead.  A multi-epoch campaign therefore shows a flat
 count — the reuse is regression-testable (see
 ``tests/test_thermal_cache.py``).
 
-The cache is enabled by default; :func:`configure_thermal_cache`
-disables it (every build then recomputes, exactly as before this cache
-existed) and :func:`clear_thermal_cache` empties it.  Each spawn worker
+The cache is always on; :func:`clear_thermal_cache` empties it (the
+next build then recomputes, which is how the tests get an uncached
+oracle) and :func:`configure_thermal_cache` bounds it.  Each spawn worker
 process has its own cache; ``run_campaign`` warms worker caches from its
 pool initializer so no job pays the first-miss cost.
 """
@@ -115,14 +115,10 @@ class ThermalComputeCache:
         small (a few 100 kB for the paper's 129-node network) and real
         workloads use a handful of keys, so the bound only guards
         against pathological sweeps over thousands of configs.
-    enabled:
-        When False every lookup misses and nothing is stored — builds
-        behave exactly as if this module did not exist.
     """
 
-    def __init__(self, max_entries: int = 16, enabled: bool = True):
+    def __init__(self, max_entries: int = 16):
         self.max_entries = int(max_entries)
-        self.enabled = bool(enabled)
         self._entries: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         #: Lifetime counters (independent of the obs registry, for
@@ -142,9 +138,6 @@ class ThermalComputeCache:
         key are interchangeable, so a rare duplicate build is harmless
         and the first stored entry wins).
         """
-        if not self.enabled:
-            self.misses += 1
-            return builder()
         key = (floorplan_signature(floorplan), config)
         with self._lock:
             found = self._entries.get(key)
@@ -170,8 +163,6 @@ class ThermalComputeCache:
         Keyed inside the entry, so the campaign's single ``control_dt_s``
         costs one factorization for the whole population.
         """
-        if not self.enabled:
-            return builder()
         with self._lock:
             found = entry.step_factors.get(dt_s)
         if found is not None:
@@ -187,8 +178,6 @@ class ThermalComputeCache:
 
     def lazy_field(self, entry: ThermalEntry, name: str, builder) -> np.ndarray:
         """Lazily-computed per-entry array (``influence``/``baseline_rise``)."""
-        if not self.enabled:
-            return builder()
         with self._lock:
             found = getattr(entry, name)
         if found is not None:
@@ -220,7 +209,6 @@ class ThermalComputeCache:
                 ),
                 "hits": self.hits,
                 "misses": self.misses,
-                "enabled": self.enabled,
             }
 
 
@@ -232,14 +220,8 @@ def get_thermal_cache() -> ThermalComputeCache:
     return _CACHE
 
 
-def configure_thermal_cache(
-    enabled: bool | None = None, max_entries: int | None = None
-) -> ThermalComputeCache:
-    """Reconfigure the global cache; disabling also clears it."""
-    if enabled is not None:
-        _CACHE.enabled = bool(enabled)
-        if not _CACHE.enabled:
-            _CACHE.clear()
+def configure_thermal_cache(max_entries: int | None = None) -> ThermalComputeCache:
+    """Reconfigure the global cache's entry bound."""
     if max_entries is not None:
         _CACHE.max_entries = int(max_entries)
     return _CACHE

@@ -147,7 +147,13 @@ class TestParser:
         assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "campaign", "sweep"])
-    def test_batch_decision_flag_gone(self, command):
-        with pytest.raises(SystemExit) as excinfo:
-            main([command, "--no-batch-decision"])
-        assert excinfo.value.code == 2
+    def test_batch_decision_flag_gone(self, command, capsys):
+        """Switches that only timed bit-identical paths against each
+        other are gone from every run command."""
+        for flag in (
+            "--no-batch-decision", "--no-fused-window", "--no-thermal-cache",
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, flag])
+            assert excinfo.value.code == 2
+            assert flag in capsys.readouterr().err

@@ -68,6 +68,25 @@ class TestTimers:
         assert reg._span_depth == 0
         assert reg.snapshot().timers["boom"].count == 1
 
+    def test_nested_spans_key_timers_by_path(self):
+        reg = MetricsRegistry()
+        with reg.timer("outer"):
+            with reg.timer("inner"):
+                with reg.timer("walk"):
+                    pass
+            with reg.timer("walk"):
+                pass
+        with reg.timer("walk"):
+            pass
+        counts = {name: s.count for name, s in reg.snapshot().timers.items()}
+        assert counts == {
+            "outer": 1,
+            "outer/inner": 1,
+            "outer/inner/walk": 1,
+            "outer/walk": 1,
+            "walk": 1,
+        }
+
     def test_timer_stats_merge(self):
         a = TimerStats()
         a.observe(1.0)
@@ -109,6 +128,38 @@ class TestSnapshotMerge:
         snap = reg.snapshot()
         assert snap.counters["x"] == 3
         assert snap.dropped_events == 3
+
+    def test_worker_merge_under_open_span_matches_in_place(self):
+        """A worker's snapshot, merged while the caller holds a span
+        open, lands on the keys the same spans record in place."""
+
+        def job(reg):
+            with reg.timer("campaign.run"):
+                with reg.timer("sim.epoch"):
+                    with reg.timer("aging.walk"):
+                        pass
+
+        in_place = MetricsRegistry(trace=True)
+        with in_place.timer("caller"):
+            job(in_place)
+            job(in_place)
+
+        merged = MetricsRegistry(trace=True)
+        with merged.timer("caller"):
+            for _ in range(2):
+                worker = MetricsRegistry(trace=True)
+                job(worker)
+                merged.merge_snapshot(worker.snapshot())
+
+        def counts(reg):
+            return {n: s.count for n, s in reg.snapshot().timers.items()}
+
+        def depths(reg):
+            return [(e["name"], e["depth"]) for e in reg.snapshot().events]
+
+        assert counts(merged) == counts(in_place)
+        assert counts(in_place)["caller/campaign.run/sim.epoch/aging.walk"] == 2
+        assert depths(merged) == depths(in_place)
 
     def test_snapshot_pickles(self):
         reg = MetricsRegistry(trace=True)

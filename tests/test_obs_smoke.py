@@ -65,7 +65,8 @@ class TestTraceSmoke:
         )
         assert epoch_spans == snapshot.counter("sim.epochs")
         assert run_spans == snapshot.counter("campaign.runs") == 4
-        assert snapshot.timers["sim.epoch"].count == epoch_spans
+        # Timers are keyed by span path: each epoch runs inside its job.
+        assert snapshot.timers["campaign.run/sim.epoch"].count == epoch_spans
 
     def test_dtm_counters_match_results(self, traced_campaign):
         campaign, snapshot = traced_campaign

@@ -47,6 +47,26 @@ class TestArrivals:
             # the budget idle most arrivals must be served.
             assert epoch.qos_violations < epoch.arrivals
 
+    def test_window_dominated_epoch_sees_arrivals(self, chip, aging_table):
+        """A long window with sparse arrivals (a few segment splits per
+        window) still schedules and records them."""
+        cfg = SimulationConfig(
+            lifetime_years=0.5, epoch_years=0.5, dark_fraction_min=0.5,
+            window_s=120.0, load_factor=0.6, seed=3,
+        )
+
+        def sparse(epoch, window_s, rng):
+            return poisson_arrivals(
+                window_s, mean_interarrival_s=20.0, rng=rng,
+                threads_per_app=(1, 2),
+            )
+
+        ctx = ChipContext(chip, aging_table, dark_fraction_min=0.5)
+        sim = LifetimeSimulator(cfg, arrivals_factory=sparse)
+        result = sim.run(ctx, HayatManager())
+        assert len(result.epochs) == 1
+        assert result.epochs[0].arrivals > 0
+
     def test_no_schedule_means_no_arrivals(self, chip, aging_table, arrival_cfg):
         ctx = ChipContext(chip, aging_table, dark_fraction_min=0.5)
         result = LifetimeSimulator(arrival_cfg).run(ctx, HayatManager())

@@ -30,6 +30,7 @@ from repro.sim.export import result_to_dict
 from repro.variation import generate_population
 from repro.variation.population import ChipPopulation
 from tests.test_sim_checkpoint import InterruptedHayat
+from tests.test_sim_window import StepwiseDTM
 
 
 def small_config(**overrides) -> SimulationConfig:
@@ -124,17 +125,20 @@ class TestEngineDirect:
         assert registry.counter("sim.batched_chips") == 0
 
     def test_unfused_config_falls_back(self, pieces):
+        """A DTM policy without the fused-window contract cannot share a
+        lockstep pass: every chip runs the step-by-step window solo."""
         cfg, population, table = pieces
-        unfused = small_config(fused_window=False)
         ctxs = [
             ChipContext(chip, table, dark_fraction_min=0.5)
             for chip in population.chips[:3]
         ]
         registry = MetricsRegistry()
         with use_registry(registry):
-            batched = BatchLifetimeSimulator(unfused).run(ctxs, HayatManager())
+            batched = BatchLifetimeSimulator(
+                cfg, dtm=StepwiseDTM(tsafe_k=cfg.tsafe_k)
+            ).run(ctxs, HayatManager())
         solo = [
-            LifetimeSimulator(unfused).run(
+            LifetimeSimulator(cfg, dtm=StepwiseDTM(tsafe_k=cfg.tsafe_k)).run(
                 ChipContext(chip, table, dark_fraction_min=0.5),
                 HayatManager(),
             )
@@ -142,6 +146,7 @@ class TestEngineDirect:
         ]
         assert_results_identical(batched, solo)
         assert registry.counter("sim.batch_fallbacks") == 1
+        assert registry.counter("sim.fused_steps") == 0
 
 
 class _AlwaysFiringDTM(DTMPolicy):

@@ -97,7 +97,9 @@ class TestParallelMetricsAggregation:
     def _counters(self, pieces, workers):
         cfg, population, table = pieces
         registry = MetricsRegistry(trace=True)
-        with use_registry(registry):
+        # The caller holds a span open: worker snapshots must merge
+        # under it, onto the paths serial jobs record in place.
+        with use_registry(registry), registry.timer("study"):
             run_campaign(
                 [VAAManager(), HayatManager()],
                 config=cfg, population=population, table=table,
@@ -112,10 +114,13 @@ class TestParallelMetricsAggregation:
         assert {n: s.count for n, s in serial.timers.items()} == {
             n: s.count for n, s in parallel.timers.items()
         }
+        assert "study/campaign.run/sim.epoch/sim.decision" in serial.timers
         # Span events (campaign.run, sim.epoch, ...) ship home too.
         def span_names(snapshot):
             names = [
-                e["name"] for e in snapshot.events if e["kind"] == "span"
+                (e["name"], e["depth"])
+                for e in snapshot.events
+                if e["kind"] == "span"
             ]
             return sorted(names)
 

@@ -105,6 +105,31 @@ def pieces(aging_table):
 
 
 class TestSerialSupervision:
+    def test_clean_campaign_with_every_knob_has_no_failures(
+        self, pieces, tmp_path
+    ):
+        """Retries, partial results and checkpointing engaged on healthy
+        policies: no failure is recorded and every result equals the
+        plain serial run's."""
+        from repro.baselines import VAAManager
+        from repro.sim.export import result_to_dict
+
+        cfg, population, table = pieces
+        policies = [VAAManager(), HayatManager()]
+        plain = run_campaign(
+            policies, config=cfg, population=population, table=table,
+        )
+        supervised = run_campaign(
+            policies, config=cfg, population=population, table=table,
+            retries=2, allow_partial=True,
+            checkpoint=str(tmp_path / "ckpt.jsonl"),
+        )
+        assert plain.failures == [] and supervised.failures == []
+        for name, runs in plain.results.items():
+            assert [result_to_dict(r) for r in runs] == [
+                result_to_dict(r) for r in supervised.results[name]
+            ]
+
     def test_retry_recovers_flaky_job(self, pieces, tmp_path):
         cfg, population, table = pieces
         sentinel = str(tmp_path / "armed")

@@ -2,6 +2,8 @@
 
 The core contract of :mod:`repro.sim.window`: running a window through
 compiled segments must reproduce the unfused reference loop bit for bit
+(the loop a DTM policy without the fused contract, :class:`StepwiseDTM`,
+runs everywhere)
 — identical :class:`~repro.sim.results.EpochRecord` fields, health
 trajectories and DTM event counts — in every regime the simulator
 visits (quiet windows, mid-epoch arrivals, throttling and recovery,
@@ -33,16 +35,22 @@ BASE_CFG = dict(
 )
 
 
-def run_pair(chip, table, policy_factory, dtm_factory=None, arrivals=None, **kwargs):
+class StepwiseDTM(DTMPolicy):
+    """The stock DTM without the fused-window contract, so the simulator
+    runs every window step through its step-by-step reference body."""
+
+    supports_fused_windows = False
+
+
+def run_pair(chip, table, policy_factory, dtm_kwargs=None, arrivals=None, **kwargs):
     """Run the same scenario fused and unfused; returns both results."""
+    cfg = SimulationConfig(**{**BASE_CFG, **kwargs})
+    dtm_kwargs = dtm_kwargs or {"tsafe_k": cfg.tsafe_k}
     results = []
-    for fused in (True, False):
-        cfg = SimulationConfig(**{**BASE_CFG, **kwargs}, fused_window=fused)
+    for dtm_class in (DTMPolicy, StepwiseDTM):
         ctx = ChipContext(chip, table, dark_fraction_min=cfg.dark_fraction_min)
         sim = LifetimeSimulator(
-            cfg,
-            dtm=dtm_factory() if dtm_factory is not None else None,
-            arrivals_factory=arrivals,
+            cfg, dtm=dtm_class(**dtm_kwargs), arrivals_factory=arrivals
         )
         results.append(sim.run(ctx, policy_factory()))
     return results
@@ -88,7 +96,7 @@ class TestFusedBitIdentity:
             chip,
             aging_table,
             VAAManager,
-            dtm_factory=lambda: DTMPolicy(tsafe_k=cfg_tsafe),
+            dtm_kwargs={"tsafe_k": cfg_tsafe},
         )
         assert sum(e.dtm_events for e in fused.epochs) > 0
         assert_bit_identical(fused, unfused)
@@ -109,11 +117,12 @@ class TestFusedBitIdentity:
 
 class TestWindowCounters:
     def _counters(self, chip, table, fused):
-        cfg = SimulationConfig(**BASE_CFG, fused_window=fused)
+        cfg = SimulationConfig(**BASE_CFG)
+        dtm = (DTMPolicy if fused else StepwiseDTM)(tsafe_k=cfg.tsafe_k)
         ctx = ChipContext(chip, table, dark_fraction_min=cfg.dark_fraction_min)
         registry = MetricsRegistry()
         with use_registry(registry):
-            LifetimeSimulator(cfg).run(ctx, HayatManager())
+            LifetimeSimulator(cfg, dtm=dtm).run(ctx, HayatManager())
         return registry.snapshot().counters
 
     def test_fused_run_reports_progress(self, chip, aging_table):

@@ -7,10 +7,11 @@ Three contracts are pinned here:
    (zero inside the jobs: ``run_campaign`` pre-warms), while the hit
    counter scales with the work.  This is the obs-counter regression
    guard against re-introducing per-job thermal builds.
-2. **Bit-identity** — cached, uncached, serial, and parallel runs all
-   produce byte-for-byte equal results; a hit returns the very arrays a
-   miss computed.
-3. **Lifecycle** — configure/clear/disable behave as documented, and
+2. **Bit-identity** — cached, uncached (built right after
+   :func:`clear_thermal_cache`), serial, and parallel runs all produce
+   byte-for-byte equal results; a hit returns the very arrays a miss
+   computed.
+3. **Lifecycle** — configure/clear behave as documented, and
    the batched steady/coupled solvers agree with their scalar
    references exactly.
 """
@@ -41,11 +42,9 @@ from repro.variation import generate_population
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    """Each test starts from an empty, enabled cache and leaves it so."""
-    configure_thermal_cache(enabled=True)
+    """Each test starts from an empty cache and leaves it so."""
     clear_thermal_cache()
     yield
-    configure_thermal_cache(enabled=True)
     clear_thermal_cache()
 
 
@@ -93,10 +92,10 @@ class TestFactorizationsStayConstant:
         )
 
     def test_uncached_builds_factorize_every_time(self, floorplan):
-        configure_thermal_cache(enabled=False)
         registry = MetricsRegistry()
         with use_registry(registry):
             ThermalRCNetwork(floorplan)
+            clear_thermal_cache()
             ThermalRCNetwork(floorplan)
         assert registry.snapshot().counter("thermal.factorizations") == 2
         assert registry.snapshot().counter("thermal.cache_hits") == 0
@@ -131,7 +130,7 @@ class TestBitIdentity:
 
         cached = run_once()
         second = run_once()  # all hits
-        configure_thermal_cache(enabled=False)
+        clear_thermal_cache()
         uncached = run_once()
         for a, b, c in zip(cached, second, uncached):
             assert np.array_equal(a, b)
@@ -184,14 +183,6 @@ class TestLifecycle:
         assert get_thermal_cache().stats()["entries"] == 1
         clear_thermal_cache()
         assert get_thermal_cache().stats()["entries"] == 0
-
-    def test_disable_clears_and_stops_storing(self, floorplan):
-        ThermalRCNetwork(floorplan)
-        configure_thermal_cache(enabled=False)
-        cache = get_thermal_cache()
-        assert cache.stats()["entries"] == 0
-        ThermalRCNetwork(floorplan)
-        assert cache.stats()["entries"] == 0
 
     def test_lru_bound_holds(self, floorplan, small_floorplan):
         configure_thermal_cache(max_entries=1)
