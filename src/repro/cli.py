@@ -30,9 +30,9 @@ from repro.baselines import (
     VAAManager,
 )
 from repro.core import HayatManager
-from repro.obs import disable_metrics, enable_metrics
+from repro.obs import disable_metrics, enable_metrics, write_trace_jsonl
 from repro.sim import ChipContext, LifetimeSimulator, SimulationConfig, run_campaign
-from repro.sim.export import save_results_json, save_summary_csv, save_trace_jsonl
+from repro.sim.export import save_results_json, save_summary_csv
 from repro.util.constants import AMBIENT_KELVIN
 from repro.variation import generate_population
 
@@ -113,11 +113,11 @@ def _add_batch_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--batch-size",
         type=int,
-        default=None,
+        default=32,
         metavar="N",
         help=(
-            "chips per batched simulation unit (default: auto-sized from "
-            "the population and worker count); the default delta-candidate "
+            "chips per batched simulation unit (default: 32, whatever the "
+            "worker count); the default delta-candidate "
             "gate counts stacked rows, so a chip's result can depend on its "
             "batch mates (see ROADMAP.md on batch-mate independence)"
         ),
@@ -132,11 +132,9 @@ def _add_batch_flags(parser: argparse.ArgumentParser) -> None:
 def _batch_kwargs(args) -> dict:
     if args.no_batch:
         return {"batch_size": None}
-    if args.batch_size is not None:
-        if args.batch_size < 1:
-            raise SystemExit("--batch-size must be >= 1")
-        return {"batch_size": args.batch_size}
-    return {"batch_size": "auto"}
+    if args.batch_size < 1:
+        raise SystemExit("--batch-size must be >= 1")
+    return {"batch_size": args.batch_size}
 
 
 def _supervision_kwargs(args) -> dict:
@@ -171,7 +169,7 @@ def _finish_observability(args, registry) -> None:
     snapshot = registry.snapshot()
     disable_metrics()
     if args.trace:
-        lines = save_trace_jsonl(snapshot, args.trace)
+        lines = write_trace_jsonl(snapshot, args.trace)
         print(f"wrote {args.trace} ({lines} trace lines)")
     if args.metrics:
         print()

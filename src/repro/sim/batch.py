@@ -7,9 +7,11 @@ one aging-table walk.  Every per-chip kernel in that loop already has a
 stacked counterpart — multi-RHS steady solves (PR 2), flat-offset
 trilinear gathers (PR 3), compiled fused segments (PR 4) — so this
 module lifts the chip axis out of Python: N chips advance epoch by
-epoch and *step by step* together, with the per-chip control flow
-(policy decisions, DTM enforcement, stats bookkeeping) kept in Python
-and the cross-chip arithmetic batched.
+epoch and *step by step* together.  The per-chip control flow (DTM
+enforcement, settle and stats bookkeeping, epoch records) is the
+shared :class:`~repro.sim.simulator.ChipLane`, one per chip, exactly as
+the per-chip engine runs it; this module adds only the cross-chip
+batched kernels.
 
 Bit identity with :class:`~repro.sim.simulator.LifetimeSimulator` is
 the design constraint, not an aspiration:
@@ -53,41 +55,27 @@ from repro.core.delta_eval import delta_options
 from repro.dtm.policy import DTMPolicy
 from repro.noc.metrics import evaluate_mapping
 from repro.obs import get_registry
-from repro.power.dynamic import DynamicPowerModel
-from repro.power.leakage import REFERENCE_TEMP_K, LeakageModel
-from repro.power.model import PowerModel
 from repro.sim.config import SimulationConfig
 from repro.sim.context import ChipContext
-from repro.sim.results import EpochRecord, LifetimeResult
-from repro.sim.simulator import LifetimeSimulator
+from repro.sim.results import LifetimeResult
+from repro.sim.simulator import (
+    MAX_SETTLE_ROUNDS,
+    ChipLane,
+    LifetimeSimulator,
+    _mean_activity_vector,
+)
 from repro.sim.window import (
     SEGMENT_CHUNK_STEPS,
-    WindowStats,
     compile_segment,
-    rewind_unexecuted_draws,
+    fused_window_unsupported,
+    leakage_w,
+    observe_fused_step,
 )
 from repro.thermal.cache import floorplan_signature
 from repro.thermal.coupled import solve_coupled_steady_state_batch
-from repro.thermal.rcnet import TransientIntegrator
-from repro.util.rng import SeedSequenceFactory
 from repro.workload.mix import random_mix
 
 __all__ = ["BatchLifetimeSimulator"]
-
-
-class _ChipLane:
-    """Per-chip mutable state threaded through the lockstep loops."""
-
-    __slots__ = (
-        "ctx", "result", "factory", "num_threads", "nominal_scaled",
-        "mix", "state", "dcm_on", "fmax_now", "start_years",
-        "migrations", "throttles", "worst_settle", "settle_duty",
-        "settle_rounds", "temps", "all_nodes", "integrator", "stats",
-        "segment", "seg_off", "seg_powered", "fused",
-    )
-
-    def __init__(self, ctx: ChipContext):
-        self.ctx = ctx
 
 
 class BatchLifetimeSimulator:
@@ -109,7 +97,6 @@ class BatchLifetimeSimulator:
         self._mix_factory = mix_factory if mix_factory is not None else (
             lambda epoch, num_threads, rng: random_mix(num_threads, rng)
         )
-        self._max_settle_rounds = 16
 
     # ------------------------------------------------------------------
     # eligibility
@@ -118,19 +105,14 @@ class BatchLifetimeSimulator:
         """Why these contexts cannot share one lockstep pass (or None)."""
         if len(ctxs) < 2:
             return "fewer than two chips"
-        if not getattr(self.dtm, "supports_fused_windows", False):
-            return "DTM policy lacks the fused-window contract"
         first = ctxs[0]
         pm0 = first.power_model
         signature = floorplan_signature(first.floorplan)
         for ctx in ctxs:
             pm = ctx.power_model
-            if (
-                type(pm) is not PowerModel
-                or type(pm.dynamic) is not DynamicPowerModel
-                or type(pm.leakage) is not LeakageModel
-            ):
-                return "non-stock power model stack"
+            reason = fused_window_unsupported(pm, self.dtm)
+            if reason is not None:
+                return reason
             if floorplan_signature(ctx.floorplan) != signature:
                 return "mixed floorplans"
             if ctx.network.config != first.network.config:
@@ -179,28 +161,7 @@ class BatchLifetimeSimulator:
             return [sim.run(ctx, policy) for ctx in ctxs]
 
         cfg = self.config
-        lanes = []
-        for ctx in ctxs:
-            lane = _ChipLane(ctx)
-            lane.result = LifetimeResult(
-                chip_id=ctx.chip.chip_id,
-                policy_name=policy.name,
-                dark_fraction_min=ctx.dark_fraction_min,
-                fmax_init_ghz=ctx.chip.fmax_init_ghz.copy(),
-            )
-            lane.factory = SeedSequenceFactory(cfg.seed).child(
-                "mix", ctx.chip_seed_token()
-            )
-            lane.num_threads = max(
-                1, int(round(ctx.max_on_cores * cfg.load_factor))
-            )
-            # (nominal * scale): FusedWindowEngine's hoisted leakage
-            # prefix, per lane because the scale is the chip's own.
-            lane.nominal_scaled = (
-                ctx.power_model.leakage.nominal_w
-                * ctx.power_model.leakage_scale
-            )
-            lanes.append(lane)
+        lanes = [ChipLane(ctx, policy, cfg, self.dtm) for ctx in ctxs]
         obs.inc("sim.batched_chips", len(lanes))
 
         with delta_options(enabled=cfg.delta_candidates):
@@ -219,16 +180,10 @@ class BatchLifetimeSimulator:
     # ------------------------------------------------------------------
     def _run_batch_epoch(self, lanes, policy, epoch: int, obs) -> None:
         cfg = self.config
-        n = lanes[0].ctx.chip.num_cores
         network = lanes[0].ctx.network
 
-        # Mix draws stay per chip: fully independent RNG streams make
-        # lane order irrelevant.
         for lane in lanes:
-            lane.mix = self._mix_factory(
-                epoch, lane.num_threads, lane.factory.rng("epoch", epoch)
-            )
-            lane.start_years = lane.ctx.elapsed_years
+            lane.draw_mix(self._mix_factory, epoch)
 
         # Decisions: one cross-lane batched call when the policy has one
         # (it stacks the numpy-friendly parts per lane); the per-chip
@@ -241,76 +196,35 @@ class BatchLifetimeSimulator:
                     [lane.mix for lane in lanes],
                     cfg.epoch_years,
                 )
-            for lane, state in zip(lanes, states):
-                lane.state = state
         else:
+            states = []
             for lane in lanes:
                 with obs.timer("sim.decision"):
-                    lane.state = policy.prepare_epoch(
-                        lane.ctx, lane.mix, cfg.epoch_years
+                    states.append(
+                        policy.prepare_epoch(lane.ctx, lane.mix, cfg.epoch_years)
                     )
-        for lane in lanes:
-            ctx = lane.ctx
-            lane.state.validate()
-            lane.dcm_on = lane.state.powered_on
-            lane.fmax_now = ctx.chip.fmax_init_ghz * ctx.health_state.health
-            lane.migrations = 0
-            lane.throttles = 0
-            lane.worst_settle = np.full(n, ctx.network.config.ambient_k)
-            lane.settle_duty = np.zeros(n)
-            lane.settle_rounds = 0
+        for lane, state in zip(lanes, states):
+            lane.begin_epoch(state)
 
         # Settle phase in lockstep rounds: one stacked Picard solve per
-        # round covers every still-settling lane; DTM enforcement and
-        # the migration duty penalty stay per lane.
-        reaction_ceiling = self.dtm.tsafe_k + self.dtm.headroom_k
+        # round covers every still-settling lane.
         with obs.timer("sim.settle"):
             active = list(lanes)
-            for settle_round in range(self._max_settle_rounds):
-                k = len(active)
-                freq = np.empty((k, n))
-                activity = np.empty((k, n))
-                powered = np.empty((k, n), dtype=bool)
-                scale = np.empty((k, n))
-                for j, lane in enumerate(active):
-                    freq[j] = lane.state.freq_ghz
-                    activity[j] = LifetimeSimulator._mean_activity_vector(
-                        lane.state
-                    )
-                    powered[j] = lane.state.powered_on
-                    scale[j] = lane.ctx.power_model.leakage_scale
+            for _ in range(MAX_SETTLE_ROUNDS):
                 temps_mat, _ = solve_coupled_steady_state_batch(
                     network,
                     active[0].ctx.power_model,
-                    freq,
-                    activity,
-                    powered,
-                    leakage_scale=scale,
+                    np.array([lane.state.freq_ghz for lane in active]),
+                    np.array([_mean_activity_vector(lane.state) for lane in active]),
+                    np.array([lane.state.powered_on for lane in active]),
+                    leakage_scale=np.array(
+                        [lane.ctx.power_model.leakage_scale for lane in active]
+                    ),
                 )
                 obs.inc("sim.batch_solves")
-                still = []
-                for j, lane in enumerate(active):
-                    temps = temps_mat[j]
-                    lane.temps = temps
-                    lane.worst_settle = np.maximum(
-                        lane.worst_settle, np.minimum(temps, reaction_ceiling)
-                    )
-                    report = self.dtm.enforce(
-                        lane.state, lane.ctx.read_temps(temps), lane.fmax_now
-                    )
-                    lane.migrations += report.migrations
-                    lane.throttles += report.throttles
-                    for source, target in report.migrated_pairs:
-                        thread = lane.state.threads[
-                            lane.state.assignment[target]
-                        ]
-                        lane.settle_duty[source] += (
-                            cfg.settle_duty_fraction * thread.duty_cycle
-                        )
-                    lane.settle_rounds = settle_round + 1
-                    if report.events != 0:
-                        still.append(lane)
-                active = still
+                active = [
+                    lane for j, lane in enumerate(active) if lane.settle(temps_mat[j])
+                ]
                 if not active:
                     break
             else:
@@ -320,87 +234,23 @@ class BatchLifetimeSimulator:
                 obs.inc("sim.settle_rounds", lane.settle_rounds)
 
         for lane in lanes:
-            temps = lane.temps
-            all_nodes = lane.ctx.network.initial_temperatures()
-            all_nodes[:n] = temps
-            all_nodes[n : 2 * n] = temps - 2.0  # spreader trails the junction
-            all_nodes[-1] = temps.mean() - 5.0
-            lane.all_nodes = all_nodes
-            # One integrator per lane per epoch, as the per-chip path
-            # constructs: the factors come from the shared cache
-            # (additive thermal.cache_hits), only scratch space is new.
-            lane.integrator = TransientIntegrator(
-                lane.ctx.network, cfg.control_dt_s
-            )
-            lane.stats = WindowStats(
-                worst=np.maximum(
-                    lane.worst_settle, np.minimum(temps, reaction_ceiling)
-                ),
-                duty_accum=np.zeros(n),
-                peak=float(temps.max()),
-            )
-            lane.segment = None
-            lane.seg_off = 0
-            lane.seg_powered = None
-            lane.fused = True
-
+            lane.start_window()
         with obs.timer("sim.window"):
             self._run_batch_window(lanes, obs)
 
         # Epoch upscale: per-lane duties, one stacked aging-table walk.
-        steps = cfg.steps_per_window
-        duties_mat = np.empty((len(lanes), n))
-        worst_mat = np.empty((len(lanes), n))
-        for b, lane in enumerate(lanes):
-            duties_mat[b] = np.clip(
-                (lane.stats.duty_accum / cfg.window_s + lane.settle_duty)
-                * cfg.duty_scale,
-                0.0,
-                1.0,
-            )
-            worst_mat[b] = lane.stats.worst
+        duties = [lane.duties() for lane in lanes]
         with obs.timer("sim.aging"):
             advance_batch(
                 [lane.ctx.health_state for lane in lanes],
-                worst_mat,
-                duties_mat,
+                np.array([lane.stats.worst for lane in lanes]),
+                np.array(duties),
                 cfg.epoch_years,
             )
-
-        for b, lane in enumerate(lanes):
-            ctx = lane.ctx
-            stats = lane.stats
-            ctx.last_temps_k = lane.integrator.core_temperatures(
-                lane.all_nodes
-            ).copy()
-            qos = LifetimeSimulator._qos_violations(lane.state, lane.fmax_now)
-            noc_report = evaluate_mapping(lane.state, ctx.noc)
-            record = EpochRecord(
-                epoch_index=epoch,
-                start_years=lane.start_years,
-                length_years=cfg.epoch_years,
-                mix_description=lane.mix.describe(),
-                dcm_on=lane.dcm_on,
-                worst_temps_k=stats.worst,
-                avg_temp_k=stats.temp_sum / steps,
-                peak_temp_k=stats.peak,
-                dtm_migrations=lane.migrations,
-                dtm_throttles=lane.throttles,
-                duties=duties_mat[b],
-                health_after=ctx.health_state.health,
-                qos_violations=qos,
-                total_ips=stats.ips_sum / steps,
-                arrivals=0,
-                comm_weighted_hops=noc_report.weighted_hops,
-                tsafe_violation_steps=stats.tsafe_violations,
+        for lane, lane_duties in zip(lanes, duties):
+            lane.close_epoch(
+                epoch, lane_duties, evaluate_mapping(lane.state, lane.ctx.noc), obs
             )
-            lane.result.epochs.append(record)
-            obs.inc("sim.epochs")
-            obs.inc("sim.dtm_migrations", record.dtm_migrations)
-            obs.inc("sim.dtm_throttles", record.dtm_throttles)
-            obs.inc("sim.arrivals", record.arrivals)
-            obs.inc("sim.qos_violations", record.qos_violations)
-            obs.inc("sim.tsafe_violation_steps", record.tsafe_violation_steps)
 
     # ------------------------------------------------------------------
     # the lockstep window
@@ -427,11 +277,7 @@ class BatchLifetimeSimulator:
         integrator0 = lanes[0].integrator
         # Step times exactly as the per-chip loop's `step * dt`.
         times = np.arange(steps, dtype=float) * dt
-
         leakage = lanes[0].ctx.power_model.leakage
-        beta = leakage.beta_per_k
-        fit_limit = leakage.fit_limit_k
-        gated_w = leakage.gated_w
         tsafe = self.dtm.tsafe_k
         target_limit = self.dtm.target_limit_k
 
@@ -452,7 +298,6 @@ class BatchLifetimeSimulator:
                     else:
                         lane.segment = segment
                         lane.seg_off = 0
-                        lane.seg_powered = lane.state.powered_view
                 (fused_now if lane.fused else unfused_now).append(lane)
 
             if fused_now:
@@ -461,20 +306,14 @@ class BatchLifetimeSimulator:
                 stacked_power = np.empty((num_nodes, k))
                 for j, lane in enumerate(fused_now):
                     stacked_temps[:, j] = lane.all_nodes
-                    # FusedWindowEngine.core_power's exact op order on
-                    # the lane's pre-step junction temperatures.
-                    core_temps = lane.all_nodes[:n]
-                    factor = np.exp(
-                        beta
-                        * (np.minimum(core_temps, fit_limit) - REFERENCE_TEMP_K)
-                    )
-                    leak = np.where(
-                        lane.seg_powered, lane.nominal_scaled * factor, gated_w
+                    # FusedWindowEngine's core power on the lane's
+                    # pre-step junction temperatures.
+                    leak = leakage_w(
+                        lane.all_nodes[:n], lane.state.powered_view,
+                        lane.nominal_scaled, leakage,
                     )
                     stacked_power[:, j] = base
-                    stacked_power[:n, j] = (
-                        lane.segment.dyn_power_w[lane.seg_off] + leak
-                    )
+                    stacked_power[:n, j] = lane.segment.dyn_power_w[lane.seg_off] + leak
                 new_temps = integrator0.step_batch(stacked_temps, stacked_power)
                 obs.inc("sim.batch_solves")
                 fused_steps += k
@@ -482,75 +321,24 @@ class BatchLifetimeSimulator:
                     # Contiguous per-lane copy: downstream reductions
                     # (mean/max) must see the per-chip memory layout.
                     lane.all_nodes = np.ascontiguousarray(new_temps[:, j])
-                    segment_breaks += self._post_fused_step(
-                        lane, times, dt, tsafe, target_limit
+                    segment = lane.segment
+                    readings = observe_fused_step(
+                        lane.stats, segment, lane.all_nodes[:n],
+                        lane.ctx.read_temps, tsafe, target_limit,
                     )
+                    if readings is None:
+                        lane.seg_off += 1
+                        if lane.seg_off == segment.num_steps:
+                            lane.segment = None  # quiet completion
+                        continue
+                    # The breaking step is consumed.
+                    lane.break_segment(segment, readings, lane.seg_off + 1, times)
+                    lane.segment = None
+                    segment_breaks += 1
 
             for lane in unfused_now:
-                self._unfused_step(lane, step, dt)
+                lane.unfused_step(step * dt)
 
         obs.inc("sim.fused_steps", fused_steps)
         if segment_breaks:
             obs.inc("sim.segment_breaks", segment_breaks)
-
-    def _post_fused_step(self, lane, times, dt, tsafe, target_limit) -> int:
-        """Per-lane post-step bookkeeping (`FusedWindowEngine.on_step`'s
-        expressions plus the caller's break handling).  Returns 1 when
-        the lane's segment broke at this step."""
-        segment = lane.segment
-        stats = lane.stats
-        core_temps = lane.all_nodes[: lane.ctx.chip.num_cores]
-        readings = lane.ctx.read_temps(core_temps)
-        stats.worst = np.maximum(stats.worst, core_temps)
-        stats.temp_sum += float(core_temps.mean())
-        stats.peak = max(stats.peak, float(core_temps.max()))
-        stats.tsafe_violations += int((core_temps > tsafe).sum())
-        trip = bool((readings[segment.busy] > tsafe).any())
-        if not trip and segment.throttled_idx.size > 0:
-            trip = bool((readings[segment.throttled_idx] < target_limit).any())
-        if not trip:
-            stats.duty_accum += segment.duty_step
-            stats.ips_sum += segment.ips_total
-            lane.seg_off += 1
-            if lane.seg_off == segment.num_steps:
-                lane.segment = None  # quiet completion; compile the next
-            return 0
-        done = lane.seg_off + 1  # the breaking step is consumed
-        report = self.dtm.enforce(lane.state, readings, lane.fmax_now)
-        lane.migrations += report.migrations
-        lane.throttles += report.throttles
-        if report.migrations and done < segment.num_steps:
-            rewind_unexecuted_draws(
-                segment,
-                times[segment.start_step : segment.start_step + done],
-            )
-        stats.duty_accum += lane.state.duty_vector() * dt
-        stats.ips_sum += LifetimeSimulator._total_ips(lane.state)
-        lane.segment = None
-        return 1
-
-    def _unfused_step(self, lane, step: int, dt: float) -> None:
-        """The per-chip unfused step body, verbatim, on one lane."""
-        t = step * dt
-        state = lane.state
-        stats = lane.stats
-        integrator = lane.integrator
-        activity = state.activity_vector(t)
-        core_temps = integrator.core_temperatures(lane.all_nodes)
-        breakdown = lane.ctx.power_model.evaluate(
-            state.freq_ghz, activity, core_temps, state.powered_on
-        )
-        lane.all_nodes = integrator.step(lane.all_nodes, breakdown.total_w)
-        core_temps = integrator.core_temperatures(lane.all_nodes)
-
-        readings = lane.ctx.read_temps(core_temps)
-        report = self.dtm.enforce(state, readings, lane.fmax_now)
-        lane.migrations += report.migrations
-        lane.throttles += report.throttles
-
-        stats.worst = np.maximum(stats.worst, core_temps)
-        stats.temp_sum += float(core_temps.mean())
-        stats.peak = max(stats.peak, float(core_temps.max()))
-        stats.tsafe_violations += int((core_temps > self.dtm.tsafe_k).sum())
-        stats.duty_accum += state.duty_vector() * dt
-        stats.ips_sum += LifetimeSimulator._total_ips(state)

@@ -207,29 +207,14 @@ def build_shared(
     }
 
 
-def _resolve_batch_size(batch_size, population, workers: int) -> int | None:
-    """Normalize the ``batch_size`` knob to an int or ``None``.
-
-    ``"auto"`` sizes units from the largest same-floorplan group: big
-    enough to amortize the stacked solves, small enough that ``workers``
-    processes still all get units (``min(32, ceil(group / workers))``).
-    A resolved size below 2 means there is nothing worth stacking, so
-    auto falls back to the per-chip path.
-    """
-    if batch_size is None:
-        return None
-    if batch_size == "auto":
-        counts: dict = {}
-        for chip in population:
-            key = floorplan_signature(chip.floorplan)
-            counts[key] = counts.get(key, 0) + 1
-        largest = max(counts.values(), default=0)
-        size = min(32, -(-largest // workers)) if largest else 0
-        return size if size >= 2 else None
-    if isinstance(batch_size, bool) or not isinstance(batch_size, int):
-        raise ValueError("batch_size must be None, 'auto', or an int >= 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be None, 'auto', or an int >= 1")
+def _resolve_batch_size(batch_size) -> int | None:
+    """Check the ``batch_size`` knob: ``None`` or an int ``>= 1``."""
+    if batch_size is not None and (
+        isinstance(batch_size, bool)
+        or not isinstance(batch_size, int)
+        or batch_size < 1
+    ):
+        raise ValueError("batch_size must be None or an int >= 1")
     return batch_size
 
 
@@ -248,7 +233,7 @@ def run_campaign(
     job_timeout_s: float | None = None,
     allow_partial: bool = False,
     checkpoint=None,
-    batch_size: int | str | None = None,
+    batch_size: int | None = None,
 ) -> CampaignResult:
     """Run every policy over the same chip population.
 
@@ -308,9 +293,9 @@ def run_campaign(
         Chips per dispatch unit for the batched population engine
         (:class:`~repro.sim.batch.BatchLifetimeSimulator`).  ``None``
         (the default) keeps the per-chip path; an ``int >= 1`` batches
-        that many same-policy, same-floorplan chips per unit;
-        ``"auto"`` picks ``min(32, ceil(largest_group / workers))`` and
-        falls back to per-chip when that leaves nothing to batch.
+        that many same-policy, same-floorplan chips per unit, whatever
+        ``workers`` is (a pool with fewer units than workers leaves the
+        rest idle).
         Checkpoints stay per-chip, so a resume may re-group survivors
         into different batches, and batch sizing is deliberately *not*
         part of the campaign digest.  Results equal the per-chip path
@@ -336,7 +321,7 @@ def run_campaign(
         table = default_aging_table()
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    batch_size = _resolve_batch_size(batch_size, population, workers)
+    batch_size = _resolve_batch_size(batch_size)
 
     policies = list(policies)
     store = digest = None

@@ -1,10 +1,10 @@
-"""Persisting lifetime results: JSON round-trip, CSV summaries, traces.
+"""Persisting lifetime results: JSON round-trip and CSV summaries.
 
 Campaign runs are minutes of compute; exporting lets analyses (plots,
 notebooks, regression baselines) run without re-simulation.  JSON holds
-the full per-epoch record; CSV holds the flat per-epoch summary table;
-JSONL traces hold the engine's own telemetry (:mod:`repro.obs` spans
-and counters) for profiling and cross-run accounting.
+the full per-epoch record; CSV holds the flat per-epoch summary table.
+JSONL traces of the engine's own telemetry are written by
+:func:`repro.obs.write_trace_jsonl`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.obs import MetricsSnapshot, write_trace_jsonl
 from repro.sim.results import EpochRecord, LifetimeResult
 
 
@@ -96,17 +95,6 @@ def load_results_json(path: str) -> list[LifetimeResult]:
     with open(path) as handle:
         payload = json.load(handle)
     return [result_from_dict(d) for d in payload]
-
-
-def save_trace_jsonl(snapshot: MetricsSnapshot, path: str) -> int:
-    """Write an observability snapshot as a JSONL trace file.
-
-    The file carries every buffered trace event (per-epoch/run spans)
-    followed by the final counter and timer totals; see
-    :mod:`repro.obs.trace` for the line schema.  Returns the number of
-    lines written.
-    """
-    return write_trace_jsonl(snapshot, path)
 
 
 #: Columns of the per-epoch CSV summary.

@@ -104,87 +104,57 @@ def _init_worker(shared: dict) -> None:
         warm_thermal_cache(floorplan, dt_s=config.control_dt_s)
 
 
-def _run_one(job):
-    """Worker entry: one (policy, chip) lifetime.  Module-level so it
-    pickles for multiprocessing; the shared table/config/knobs come from
-    :data:`_SHARED`, not the job tuple.
-
-    Returns ``(LifetimeResult, MetricsSnapshot | None)``.  In the plain
-    serial path metrics flow straight into the caller's registry and the
-    snapshot is ``None``.  A fresh per-job registry is used instead —
-    and its picklable snapshot returned for the caller to merge — in a
-    spawn worker (whose process-global registry is the no-op default)
-    and whenever the supervisor asked for isolated metrics
-    (``_SHARED["isolate_metrics"]``): checkpointing needs the per-job
-    snapshot to store, and retrying needs a failed attempt's partial
-    metrics discarded rather than double-counted.  Merging the per-job
-    snapshots reproduces direct accumulation exactly, so all paths
-    aggregate identically.
-    """
-    policy, chip = job
-    table = _SHARED["table"]
-    config = _SHARED["config"]
-    registry = get_registry()
-    fresh = _SHARED["collect"] and (
-        not registry.enabled or _SHARED.get("isolate_metrics", False)
-    )
-    if fresh:
-        registry = MetricsRegistry(trace=_SHARED["tracing"])
-    with use_registry(registry):
-        with registry.timer(
-            "campaign.run", policy=policy.name, chip=chip.chip_id
-        ):
-            ctx = ChipContext(
-                chip, table, dark_fraction_min=config.dark_fraction_min
-            )
-            simulator = LifetimeSimulator(
-                config, dtm=_SHARED["dtm"], mix_factory=_SHARED["mix_factory"]
-            )
-            result = simulator.run(ctx, policy)
-    registry.inc("campaign.runs")
-    return result, (registry.snapshot() if fresh else None)
-
-
 def _run_unit(jobs):
     """Worker entry: one dispatch unit (one or many same-policy jobs).
+    Module-level so it pickles for multiprocessing; the shared
+    table/config/knobs come from :data:`_SHARED`, not the job tuples.
 
-    A singleton unit runs through :func:`_run_one` unchanged — same
-    ``campaign.run`` timer, same counters — so unbatched campaigns are
-    byte-for-byte the pre-batching code path.  A multi-chip unit builds
-    one context per chip and hands them to
+    A single job runs :class:`LifetimeSimulator` under a
+    ``campaign.run`` timer, so unbatched campaigns are the pre-batching
+    code path.  Several jobs build one context per chip and run
     :class:`~repro.sim.batch.BatchLifetimeSimulator` under a single
-    ``campaign.batch`` timer; ``campaign.runs`` still counts chips, not
+    ``campaign.batch`` timer; ``campaign.runs`` counts chips, not
     dispatches.
 
     Returns ``(list[LifetimeResult], MetricsSnapshot | None)`` with
-    results aligned to ``jobs``.
+    results aligned to ``jobs``.  In the plain serial path metrics flow
+    straight into the caller's registry and the snapshot is ``None``.
+    A fresh per-unit registry is used instead — and its picklable
+    snapshot returned for the caller to merge — in a spawn worker
+    (whose process-global registry is the no-op default) and whenever
+    the supervisor asked for isolated metrics
+    (``_SHARED["isolate_metrics"]``): checkpointing needs the per-job
+    snapshot to store, and retrying needs a failed attempt's partial
+    metrics discarded rather than double-counted.  Merging the
+    snapshots reproduces direct accumulation exactly, so all paths
+    aggregate identically.
     """
-    if len(jobs) == 1:
-        result, snapshot = _run_one(jobs[0])
-        return [result], snapshot
     policy = jobs[0][0]
     table = _SHARED["table"]
     config = _SHARED["config"]
+    knobs = {"dtm": _SHARED["dtm"], "mix_factory": _SHARED["mix_factory"]}
     registry = get_registry()
     fresh = _SHARED["collect"] and (
         not registry.enabled or _SHARED.get("isolate_metrics", False)
     )
     if fresh:
         registry = MetricsRegistry(trace=_SHARED["tracing"])
-    with use_registry(registry):
-        with registry.timer(
+    if len(jobs) == 1:
+        chip_id = jobs[0][1].chip_id
+        span = registry.timer("campaign.run", policy=policy.name, chip=chip_id)
+    else:
+        span = registry.timer(
             "campaign.batch", policy=policy.name, chips=len(jobs)
-        ):
-            ctxs = [
-                ChipContext(
-                    chip, table, dark_fraction_min=config.dark_fraction_min
-                )
-                for _, chip in jobs
-            ]
-            simulator = BatchLifetimeSimulator(
-                config, dtm=_SHARED["dtm"], mix_factory=_SHARED["mix_factory"]
-            )
-            results = simulator.run(ctxs, policy)
+        )
+    with use_registry(registry), span:
+        ctxs = [
+            ChipContext(chip, table, dark_fraction_min=config.dark_fraction_min)
+            for _, chip in jobs
+        ]
+        if len(ctxs) == 1:
+            results = [LifetimeSimulator(config, **knobs).run(ctxs[0], policy)]
+        else:
+            results = BatchLifetimeSimulator(config, **knobs).run(ctxs, policy)
     registry.inc("campaign.runs", len(jobs))
     return results, (registry.snapshot() if fresh else None)
 

@@ -58,6 +58,9 @@ __all__ = [
     "SEGMENT_CHUNK_STEPS",
     "WindowStats",
     "compile_segment",
+    "fused_window_unsupported",
+    "leakage_w",
+    "observe_fused_step",
     "rewind_unexecuted_draws",
 ]
 
@@ -71,12 +74,8 @@ SEGMENT_CHUNK_STEPS = 128
 
 @dataclass
 class WindowStats:
-    """Mutable per-window accumulators shared by both window paths.
-
-    Field update expressions are kept identical between the fused and
-    unfused paths, so where the values live does not affect bit
-    identity.
-    """
+    """Mutable per-window accumulators shared by both window paths,
+    which update them through the same expressions (:meth:`observe`)."""
 
     worst: np.ndarray
     duty_accum: np.ndarray
@@ -84,6 +83,13 @@ class WindowStats:
     peak: float = 0.0
     tsafe_violations: int = 0
     ips_sum: float = 0.0
+
+    def observe(self, core_temps: np.ndarray, tsafe_k: float) -> None:
+        """Fold one step's post-step junction temperatures in."""
+        self.worst = np.maximum(self.worst, core_temps)
+        self.temp_sum += float(core_temps.mean())
+        self.peak = max(self.peak, float(core_temps.max()))
+        self.tsafe_violations += int((core_temps > tsafe_k).sum())
 
 
 @dataclass
@@ -101,7 +107,7 @@ class CompiledSegment:
     start_step: int
     dyn_power_w: np.ndarray  # (num_steps, num_cores)
     duty_step: np.ndarray  # (num_cores,) == duty_vector() * dt
-    ips_total: float  # == LifetimeSimulator._total_ips(state)
+    ips_total: float  # == repro.sim.simulator._total_ips(state)
     busy: np.ndarray  # (num_cores,) bool — cores running a thread
     throttled_idx: np.ndarray  # indices of throttled cores
     traces: list  # mapped PhaseTraces, ascending core order
@@ -112,6 +118,54 @@ class CompiledSegment:
     def num_steps(self) -> int:
         """Steps this segment covers."""
         return self.dyn_power_w.shape[0]
+
+
+def fused_window_unsupported(power_model: PowerModel, dtm) -> str | None:
+    """Why a window cannot run fused segments (``None`` if it can); see
+    the module docstring for the eligibility rule."""
+    if not getattr(dtm, "supports_fused_windows", False):
+        return "DTM policy lacks the fused-window contract"
+    if (
+        type(power_model) is not PowerModel
+        or type(power_model.dynamic) is not DynamicPowerModel
+        or type(power_model.leakage) is not LeakageModel
+    ):
+        return "non-stock power model stack"
+    return None
+
+
+def leakage_w(core_temps, powered, nominal_scaled, leakage: LeakageModel):
+    """``LeakageModel.power_w``'s op order with the chip's
+    ``nominal_w * leakage_scale`` hoisted out of the step loop:
+    ``((nominal * scale) * exp(beta * (min(T, limit) - ref)))``."""
+    factor = np.exp(
+        leakage.beta_per_k
+        * (np.minimum(core_temps, leakage.fit_limit_k) - REFERENCE_TEMP_K)
+    )
+    return np.where(powered, nominal_scaled * factor, leakage.gated_w)
+
+
+def observe_fused_step(
+    stats: WindowStats,
+    segment: CompiledSegment,
+    core_temps: np.ndarray,
+    read_temps,
+    tsafe_k: float,
+    target_limit_k: float,
+) -> np.ndarray | None:
+    """Account one fused step; returns the sensor readings when they
+    trip the DTM band, leaving that step's duty/IPS addends to the
+    caller (it adds them after ``enforce``, the unfused ordering)."""
+    readings = read_temps(core_temps)
+    stats.observe(core_temps, tsafe_k)
+    trip = bool((readings[segment.busy] > tsafe_k).any())
+    if not trip and segment.throttled_idx.size > 0:
+        trip = bool((readings[segment.throttled_idx] < target_limit_k).any())
+    if trip:
+        return readings
+    stats.duty_accum += segment.duty_step
+    stats.ips_sum += segment.ips_total
+    return None
 
 
 def rewind_unexecuted_draws(
@@ -268,23 +322,17 @@ class FusedWindowEngine:
     ):
         self.power_model = power_model
         self.integrator = integrator
-        self.supported = bool(
-            getattr(dtm, "supports_fused_windows", False)
-            and type(power_model) is PowerModel
-            and type(power_model.dynamic) is DynamicPowerModel
-            and type(power_model.leakage) is LeakageModel
+        self.supported = (
+            fused_window_unsupported(power_model, dtm) is None
             and type(integrator) is TransientIntegrator
         )
-        leakage = power_model.leakage
         # (nominal * scale) hoisted: the left-to-right product
         # PowerModel.evaluate computes per step, minus the per-step
         # temperature factor.
-        self._nominal_scaled = leakage.nominal_w * power_model.leakage_scale
-        self._gated_w = leakage.gated_w
-        self._beta_per_k = leakage.beta_per_k
-        self._fit_limit_k = leakage.fit_limit_k
-        self._tsafe_k = dtm.tsafe_k
-        self._target_limit_k = dtm.target_limit_k
+        self._nominal_scaled = (
+            power_model.leakage.nominal_w * power_model.leakage_scale
+        )
+        self._dtm = dtm
         self._obs = get_registry()
 
     def run_segment(
@@ -307,43 +355,23 @@ class FusedWindowEngine:
         """
         powered = state.powered_view
         dyn = segment.dyn_power_w
-        busy = segment.busy
-        throttled_idx = segment.throttled_idx
-        check_recovery = throttled_idx.size > 0
-        duty_step = segment.duty_step
-        ips_total = segment.ips_total
         nominal_scaled = self._nominal_scaled
-        gated_w = self._gated_w
-        beta = self._beta_per_k
-        fit_limit = self._fit_limit_k
-        tsafe = self._tsafe_k
-        target_limit = self._target_limit_k
+        leakage = self.power_model.leakage
+        tsafe = self._dtm.tsafe_k
+        target_limit = self._dtm.target_limit_k
         break_readings: list[np.ndarray] = []
 
         def core_power(i: int, core_temps: np.ndarray) -> np.ndarray:
-            # LeakageModel.power_w's op order with constants hoisted:
-            # ((nominal * scale) * exp(beta * (min(T, limit) - ref))).
-            factor = np.exp(
-                beta * (np.minimum(core_temps, fit_limit) - REFERENCE_TEMP_K)
-            )
-            leak = np.where(powered, nominal_scaled * factor, gated_w)
-            return dyn[i] + leak
+            return dyn[i] + leakage_w(core_temps, powered, nominal_scaled, leakage)
 
         def on_step(i: int, core_temps: np.ndarray) -> bool:
-            readings = read_temps(core_temps)
-            stats.worst = np.maximum(stats.worst, core_temps)
-            stats.temp_sum += float(core_temps.mean())
-            stats.peak = max(stats.peak, float(core_temps.max()))
-            stats.tsafe_violations += int((core_temps > tsafe).sum())
-            trip = bool((readings[busy] > tsafe).any())
-            if not trip and check_recovery:
-                trip = bool((readings[throttled_idx] < target_limit).any())
-            if trip:
-                break_readings.append(readings)
-                return True
-            stats.duty_accum += duty_step
-            stats.ips_sum += ips_total
-            return False
+            readings = observe_fused_step(
+                stats, segment, core_temps, read_temps, tsafe, target_limit
+            )
+            if readings is None:
+                return False
+            break_readings.append(readings)
+            return True
 
         temps_all_nodes, done = self.integrator.run_segment(
             temps_all_nodes, segment.num_steps, core_power, on_step

@@ -10,9 +10,13 @@ import pytest
 
 from repro.baselines import VAAManager
 from repro.core import HayatManager
-from repro.obs import MetricsRegistry, load_trace_jsonl, use_registry
+from repro.obs import (
+    MetricsRegistry,
+    load_trace_jsonl,
+    use_registry,
+    write_trace_jsonl,
+)
 from repro.sim import SimulationConfig, run_campaign
-from repro.sim.export import save_trace_jsonl
 from repro.variation import generate_population
 
 
@@ -38,7 +42,7 @@ class TestTraceSmoke:
     def test_every_line_validates(self, traced_campaign, tmp_path):
         _, snapshot = traced_campaign
         path = str(tmp_path / "campaign.jsonl")
-        written = save_trace_jsonl(snapshot, path)
+        written = write_trace_jsonl(snapshot, path)
         lines = load_trace_jsonl(path, validate=True)  # raises on violation
         assert len(lines) == written > 0
 

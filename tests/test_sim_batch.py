@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import VAAManager
+from repro.cli import _batch_kwargs, _build_parser
 from repro.core import HayatManager
 from repro.dtm.policy import DTMPolicy, DTMReport
 from repro.floorplan import Floorplan
@@ -29,8 +30,16 @@ from repro.sim import (
 from repro.sim.export import result_to_dict
 from repro.variation import generate_population
 from repro.variation.population import ChipPopulation
+from repro.workload.mix import random_mix
+from repro.workload.traces import PhaseTrace
 from tests.test_sim_checkpoint import InterruptedHayat
 from tests.test_sim_window import StepwiseDTM
+
+
+#: The ``batch_size`` a ``repro campaign`` run passes by default.
+CLI_DEFAULT_BATCH_SIZE = _batch_kwargs(_build_parser().parse_args(["campaign"]))[
+    "batch_size"
+]
 
 
 def small_config(**overrides) -> SimulationConfig:
@@ -197,6 +206,56 @@ class TestSettleUnconverged:
         assert registry.counter("sim.settle_unconverged") == 0
 
 
+class _OpaqueTrace(PhaseTrace):
+    """A trace type the segment compiler cannot prove equivalent."""
+
+
+def _sometimes_opaque_mix(epoch, num_threads, rng):
+    """A random mix whose first application, on about half the
+    (chip, epoch) draws, carries traces ``compile_segment`` rejects."""
+    mix = random_mix(num_threads, rng)
+    if rng.random() < 0.5:
+        for thread in mix.applications[0].threads:
+            thread.trace.__class__ = _OpaqueTrace
+    return mix
+
+
+class TestUncompilableTraces:
+    @pytest.mark.parametrize("policy_cls", [VAAManager, HayatManager])
+    def test_step_by_step_lanes_match_per_chip(self, pieces, policy_cls):
+        """Windows whose traces cannot compile run the unfused step
+        body, mixed with fused lanes in one lockstep pass, and both
+        engines still agree bit for bit."""
+        cfg, population, table = pieces
+        chips = population.chips[:3]
+
+        def contexts():
+            return [
+                ChipContext(chip, table, dark_fraction_min=cfg.dark_fraction_min)
+                for chip in chips
+            ]
+
+        per_chip = MetricsRegistry()
+        with use_registry(per_chip):
+            solo = [
+                LifetimeSimulator(cfg, mix_factory=_sometimes_opaque_mix).run(
+                    ctx, policy_cls()
+                )
+                for ctx in contexts()
+            ]
+        batched = MetricsRegistry()
+        with use_registry(batched):
+            lockstep = BatchLifetimeSimulator(
+                cfg, mix_factory=_sometimes_opaque_mix
+            ).run(contexts(), policy_cls())
+        assert_results_identical(lockstep, solo)
+        assert batched.counter("sim.batched_chips") == len(chips)
+        total_steps = len(chips) * cfg.num_epochs * cfg.steps_per_window
+        fused = per_chip.counter("sim.fused_steps")
+        assert 0 < fused < total_steps
+        assert batched.counter("sim.fused_steps") == fused
+
+
 class TestCampaignBatchSizes:
     @pytest.mark.parametrize("batch_size", [1, 3, 64])
     def test_bit_identical_across_batch_sizes(
@@ -216,16 +275,39 @@ class TestCampaignBatchSizes:
             )
 
     def test_auto_matches_no_batch(self, pieces, per_chip_reference):
+        """The CLI's default batch size matches the per-chip path."""
         cfg, population, table = pieces
-        auto = run_campaign(
+        default = run_campaign(
             [VAAManager(), HayatManager()],
             config=cfg, population=population, table=table,
-            batch_size="auto",
+            batch_size=CLI_DEFAULT_BATCH_SIZE,
         )
         for name in per_chip_reference.results:
             assert_results_identical(
-                auto.results[name], per_chip_reference.results[name]
+                default.results[name], per_chip_reference.results[name]
             )
+
+    def test_default_batch_size_ignores_workers(self, pieces):
+        """Serial and pooled campaigns at the default batch size form the
+        same units: equal stacked-solve counts and identical results."""
+        cfg, population, table = pieces
+        runs = []
+        for workers in (1, 2):
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                campaign = run_campaign(
+                    [VAAManager(), HayatManager()],
+                    config=cfg, population=population, table=table,
+                    batch_size=CLI_DEFAULT_BATCH_SIZE, workers=workers,
+                )
+            runs.append((campaign, registry))
+        (serial, serial_registry), (pooled, pooled_registry) = runs
+        assert serial_registry.counter("sim.batch_solves") > 0
+        assert serial_registry.counter(
+            "sim.batch_solves"
+        ) == pooled_registry.counter("sim.batch_solves")
+        for name in serial.results:
+            assert_results_identical(pooled.results[name], serial.results[name])
 
     def test_counters_observed(self, pieces):
         """Batching is visible (sim.batched_chips, sim.batch_solves)
@@ -236,21 +318,24 @@ class TestCampaignBatchSizes:
             "sim.epochs", "sim.fused_steps", "sim.settle_rounds",
             "thermal.coupled_solves", "thermal.coupled_iterations",
             "thermal.transient_steps", "thermal.steady_solves",
+            "sim.dtm_migrations", "sim.dtm_throttles", "sim.qos_violations",
+            "sim.tsafe_violation_steps", "sim.segment_breaks",
+            "sim.timeline_compiles", "sim.settle_unconverged",
         )
         plain_registry = MetricsRegistry()
         with use_registry(plain_registry):
             run_campaign(
-                [HayatManager()],
+                [VAAManager(), HayatManager()],
                 config=cfg, population=population, table=table,
             )
         batch_registry = MetricsRegistry()
         with use_registry(batch_registry):
             run_campaign(
-                [HayatManager()],
+                [VAAManager(), HayatManager()],
                 config=cfg, population=population, table=table,
                 batch_size=3,
             )
-        assert batch_registry.counter("sim.batched_chips") == len(population)
+        assert batch_registry.counter("sim.batched_chips") == 2 * len(population)
         assert batch_registry.counter("sim.batch_solves") > 0
         assert plain_registry.counter("sim.batched_chips") == 0
         for key in physics:
