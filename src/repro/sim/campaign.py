@@ -28,7 +28,6 @@ from repro.sim.results import LifetimeResult
 from repro.sim.supervisor import (
     CampaignJobError,
     JobFailure,
-    _init_worker,
     run_supervised_jobs,
 )
 from repro.thermal.cache import floorplan_signature
@@ -41,6 +40,10 @@ __all__ = [
     "JobFailure",
     "run_campaign",
 ]
+
+#: Chips per dispatch unit that ``repro campaign``/``sweep`` and fleet
+#: requests use unless told otherwise (the library default is 1).
+DEFAULT_BATCH_SIZE = 32
 
 
 @dataclass
@@ -201,21 +204,10 @@ def build_shared(
         "tracing": registry.tracing,
         # Checkpointing stores per-job snapshots; retrying must discard
         # a failed attempt's partial metrics.  Both need job-isolated
-        # registries even in the serial path.
+        # registries even on the in-process host.
         "isolate_metrics": bool(isolate_metrics),
         "warm_floorplans": _distinct_floorplans(population),
     }
-
-
-def _resolve_batch_size(batch_size) -> int | None:
-    """Check the ``batch_size`` knob: ``None`` or an int ``>= 1``."""
-    if batch_size is not None and (
-        isinstance(batch_size, bool)
-        or not isinstance(batch_size, int)
-        or batch_size < 1
-    ):
-        raise ValueError("batch_size must be None or an int >= 1")
-    return batch_size
 
 
 def run_campaign(
@@ -233,7 +225,7 @@ def run_campaign(
     job_timeout_s: float | None = None,
     allow_partial: bool = False,
     checkpoint=None,
-    batch_size: int | None = None,
+    batch_size: int = 1,
 ) -> CampaignResult:
     """Run every policy over the same chip population.
 
@@ -249,12 +241,12 @@ def run_campaign(
     population, table:
         Pre-built silicon and aging table, for reuse across campaigns.
     progress:
-        Optional callable ``(policy_name, chip_id)`` invoked per run —
-        before each run in serial mode (job order), on each *completion*
-        in pooled mode.  Pooled completions arrive in completion order,
-        not submission order, so progress never stalls behind the
-        slowest early job; jobs skipped by a checkpoint resume are not
-        reported.
+        Optional callable ``(policy_name, chip_id)`` invoked once per
+        job that completes with a result, in completion order, serial
+        or pooled.  Pooled completions arrive in completion order, not
+        submission order, so progress never stalls behind the slowest
+        early job; jobs skipped by a checkpoint resume and jobs that
+        exhaust their retries are not reported.
     workers:
         Process count.  Every (policy, chip) lifetime is independent,
         so results are bit-identical to the serial run; use this for
@@ -291,8 +283,8 @@ def run_campaign(
         are never checkpointed, so a resume retries them.
     batch_size:
         Chips per dispatch unit for the batched population engine
-        (:class:`~repro.sim.batch.BatchLifetimeSimulator`).  ``None``
-        (the default) keeps the per-chip path; an ``int >= 1`` batches
+        (:class:`~repro.sim.batch.BatchLifetimeSimulator`).  ``1``
+        (the default) keeps the per-chip path; a larger int batches
         that many same-policy, same-floorplan chips per unit, whatever
         ``workers`` is (a pool with fewer units than workers leaves the
         rest idle).
@@ -321,7 +313,6 @@ def run_campaign(
         table = default_aging_table()
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    batch_size = _resolve_batch_size(batch_size)
 
     policies = list(policies)
     store = digest = None
@@ -349,10 +340,6 @@ def run_campaign(
                     f"(workers={workers}); got {knob!r} ({error}). "
                     "Use a module-level callable, or workers=1."
                 ) from error
-    # Initialize the parent too (even when a pool does the work): with
-    # metrics enabled the serial and pooled paths must record identical
-    # thermal counters, so neither may pay a first-miss inside a job.
-    _init_worker(shared)
     flat, failures = run_supervised_jobs(
         jobs,
         shared,

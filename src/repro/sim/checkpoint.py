@@ -288,6 +288,55 @@ class DurableAppender:
             pass
 
 
+def scan_jsonl(path, version, keep, *, counter, label, rerun) -> tuple[int, bool]:
+    """Feed every ``version`` record of a JSONL file to ``keep``.
+
+    ``keep(data, offset, length)`` receives each parsed record with the
+    byte offset and length of its line, and rejects a malformed record
+    by raising ``ValueError``, ``KeyError`` or ``TypeError``.  A torn
+    *final* line is the expected signature of a dirty shutdown and is
+    skipped silently (its job re-runs).  A malformed *mid-file* line is
+    real corruption: it is counted in the ``counter`` obs counter and
+    reported with a :class:`RuntimeWarning` naming ``label`` and the
+    line number, because its job will ``rerun`` every time until the
+    file is repaired.  Records of another version are skipped silently
+    by design (the format marker exists so layout changes degrade to
+    "no usable records").  Returns ``(skipped_lines, truncated_tail)``.
+    """
+    if not os.path.exists(path):
+        return 0, False
+    with open(path, "rb") as handle:
+        lines = handle.readlines()
+    registry = get_registry()
+    skipped = 0
+    truncated = False
+    offset = 0
+    for number, raw in enumerate(lines, start=1):
+        stripped = raw.strip()
+        if stripped:
+            try:
+                data = json.loads(stripped)
+                if not isinstance(data, dict):
+                    raise TypeError("record is not a JSON object")
+                if data.get("version") == version:
+                    keep(data, offset, len(raw))
+            except (ValueError, KeyError, TypeError):
+                if number == len(lines):
+                    truncated = True
+                else:
+                    skipped += 1
+                    registry.inc(counter)
+                    warnings.warn(
+                        f"{label}: skipping malformed record at line "
+                        f"{number} of {len(lines)} (mid-file corruption, "
+                        f"not a dirty shutdown); its job will {rerun}",
+                        RuntimeWarning,
+                        stacklevel=3,
+                    )
+        offset += len(raw)
+    return skipped, truncated
+
+
 class CampaignCheckpoint:
     """Append-only JSONL store of completed campaign jobs.
 
@@ -297,66 +346,32 @@ class CampaignCheckpoint:
     fsync), so a crash after a job completes never loses that job and
     the daemon's hot path pays no per-record open.
 
-    Malformed lines are classified on load: a torn *final* line is the
-    expected signature of a dirty shutdown (``truncated_tail``; skipped
-    silently, its job re-runs), while a malformed *mid-file* line means
-    real corruption — it is counted in :attr:`skipped_lines` (and the
-    ``checkpoint.skipped_lines`` obs counter) and reported with a
-    :class:`RuntimeWarning` naming the line number, because its job
-    will silently recompute on every resume until the file is repaired.
-    Old-version records are skipped silently by design (the format
-    marker exists so layout changes degrade to "no usable records").
+    Loading follows :func:`scan_jsonl`'s rules (:attr:`truncated_tail`,
+    :attr:`skipped_lines`, obs counter ``checkpoint.skipped_lines``).
     """
 
     def __init__(self, path: str):
         self.path = os.fspath(path)
         self._records: dict[str, CheckpointRecord] = {}
-        #: Malformed lines that were not the torn final line.
-        self.skipped_lines = 0
-        #: Whether the file ended in a torn record (dirty shutdown).
-        self.truncated_tail = False
-        self._load()
+        self.skipped_lines, self.truncated_tail = scan_jsonl(
+            self.path,
+            CHECKPOINT_VERSION,
+            self._keep,
+            counter="checkpoint.skipped_lines",
+            label=f"checkpoint {self.path}",
+            rerun="re-run",
+        )
         self._appender = DurableAppender(self.path)
 
-    def _load(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, encoding="utf-8", errors="replace") as handle:
-            lines = handle.readlines()
-        registry = get_registry()
-        for number, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-                if data.get("version") != CHECKPOINT_VERSION:
-                    continue
-                record = CheckpointRecord(
-                    key=data["key"],
-                    result=result_from_dict(data["result"]),
-                    snapshot=(
-                        snapshot_from_dict(data["snapshot"])
-                        if data.get("snapshot") is not None
-                        else None
-                    ),
-                )
-            except (ValueError, KeyError, TypeError):
-                if number == len(lines):
-                    self.truncated_tail = True
-                else:
-                    self.skipped_lines += 1
-                    registry.inc("checkpoint.skipped_lines")
-                    warnings.warn(
-                        f"checkpoint {self.path}: skipping malformed "
-                        f"record at line {number} of {len(lines)} "
-                        "(mid-file corruption, not a dirty shutdown); "
-                        "its job will re-run",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                continue
-            self._records[record.key] = record
+    def _keep(self, data: dict, offset: int, length: int) -> None:
+        snapshot = data.get("snapshot")
+        if snapshot is not None:
+            snapshot = snapshot_from_dict(snapshot)
+        self._records[data["key"]] = CheckpointRecord(
+            key=data["key"],
+            result=result_from_dict(data["result"]),
+            snapshot=snapshot,
+        )
 
     def __len__(self) -> int:
         return len(self._records)

@@ -40,12 +40,11 @@ from __future__ import annotations
 import json
 import math
 import os
-import warnings
 
 import numpy as np
 
 from repro.obs import get_registry
-from repro.sim.checkpoint import DurableAppender
+from repro.sim.checkpoint import DurableAppender, scan_jsonl
 from repro.sim.results import LifetimeResult
 from repro.util.constants import AMBIENT_KELVIN
 
@@ -109,13 +108,12 @@ class ResultStore:
     """Append-only columnar store of completed fleet jobs.
 
     Opening scans ``scalars.jsonl`` once to build the key index (line
-    offsets only; the records stay on disk).  Like the checkpoint
-    loader, a torn final line is tolerated silently
-    (:attr:`truncated_tail`) while mid-file corruption is counted in
-    :attr:`skipped_lines` / the ``fleet.store_skipped_lines`` obs
-    counter and warned about with its line number.  Duplicate keys keep
-    the *last* record, so a re-appended job (crash between block and
-    scalar writes) self-heals.
+    offsets only; the records stay on disk) through the checkpoint's
+    :func:`~repro.sim.checkpoint.scan_jsonl` rules: a torn final line
+    sets :attr:`truncated_tail`, mid-file corruption is counted in
+    :attr:`skipped_lines` (obs counter ``fleet.store_skipped_lines``).
+    Duplicate keys keep the *last* record, so a re-appended job (crash
+    between block and scalar writes) self-heals.
     """
 
     def __init__(self, directory: str):
@@ -124,46 +122,21 @@ class ResultStore:
         self.scalars_path = os.path.join(self.directory, "scalars.jsonl")
         self.blocks_path = os.path.join(self.directory, "blocks.bin")
         self._index: dict[str, tuple[int, int]] = {}
-        self.skipped_lines = 0
-        self.truncated_tail = False
-        self._scan()
+        self.skipped_lines, self.truncated_tail = scan_jsonl(
+            self.scalars_path,
+            STORE_VERSION,
+            self._keep,
+            counter="fleet.store_skipped_lines",
+            label=f"result store {self.scalars_path}",
+            rerun="re-simulate",
+        )
         self._scalars = DurableAppender(self.scalars_path)
         self._blocks = DurableAppender(self.blocks_path, line_framed=False)
         self._read_handle = None
         self._blocks_handle = None
 
-    # ------------------------------------------------------------------
-    # loading
-    # ------------------------------------------------------------------
-    def _scan(self) -> None:
-        if not os.path.exists(self.scalars_path):
-            return
-        with open(self.scalars_path, "rb") as handle:
-            lines = handle.readlines()
-        registry = get_registry()
-        offset = 0
-        for number, raw in enumerate(lines, start=1):
-            stripped = raw.strip()
-            if stripped:
-                try:
-                    data = json.loads(stripped)
-                    if data.get("version") == STORE_VERSION:
-                        self._index[data["key"]] = (offset, len(raw))
-                except (ValueError, KeyError, TypeError):
-                    if number == len(lines):
-                        self.truncated_tail = True
-                    else:
-                        self.skipped_lines += 1
-                        registry.inc("fleet.store_skipped_lines")
-                        warnings.warn(
-                            f"result store {self.scalars_path}: skipping "
-                            f"malformed record at line {number} of "
-                            f"{len(lines)} (mid-file corruption); its job "
-                            "will re-simulate",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-            offset += len(raw)
+    def _keep(self, data: dict, offset: int, length: int) -> None:
+        self._index[data["key"]] = (offset, length)
 
     # ------------------------------------------------------------------
     # the content-addressed cache face
@@ -234,26 +207,10 @@ class ResultStore:
         return np.frombuffer(data, dtype=np.float32)
 
     def records(self):
-        """Stream every stored record in on-disk (completion) order.
-
-        Reads the file line by line — O(1) resident memory however many
-        jobs are stored.  Superseded duplicates are yielded too (rare;
-        the index, not this stream, is the dedup authority), so callers
-        rebuilding exact state should fold via :meth:`record` instead.
-        """
-        if not os.path.exists(self.scalars_path):
-            return
-        with open(self.scalars_path, "rb") as handle:
-            for raw in handle:
-                stripped = raw.strip()
-                if not stripped:
-                    continue
-                try:
-                    data = json.loads(stripped)
-                except ValueError:
-                    continue
-                if data.get("version") == STORE_VERSION and "key" in data:
-                    yield data
+        """Stream every stored record, one read at a time, in index order
+        (a superseded duplicate yields only its last record)."""
+        for key in self._index:
+            yield self.record(key)
 
     def bytes_on_disk(self) -> int:
         """Total store footprint (scalar lines + blocks)."""

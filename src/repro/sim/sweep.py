@@ -89,7 +89,7 @@ def sweep_dark_fractions(
     job_timeout_s: float | None = None,
     allow_partial: bool = False,
     checkpoint=None,
-    batch_size=None,
+    batch_size: int = 1,
 ) -> SweepResult:
     """Run one campaign per dark floor over shared silicon.
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import VAAManager
-from repro.cli import _batch_kwargs, _build_parser
+from repro.cli import _build_parser
 from repro.core import HayatManager
 from repro.dtm.policy import DTMPolicy, DTMReport
 from repro.floorplan import Floorplan
@@ -37,9 +37,7 @@ from tests.test_sim_window import StepwiseDTM
 
 
 #: The ``batch_size`` a ``repro campaign`` run passes by default.
-CLI_DEFAULT_BATCH_SIZE = _batch_kwargs(_build_parser().parse_args(["campaign"]))[
-    "batch_size"
-]
+CLI_DEFAULT_BATCH_SIZE = _build_parser().parse_args(["campaign"]).batch_size
 
 
 def small_config(**overrides) -> SimulationConfig:

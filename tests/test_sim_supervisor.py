@@ -291,3 +291,98 @@ class TestPooledSupervision:
         np.testing.assert_array_equal(
             slow.health_trajectory(), fast.health_trajectory()
         )
+
+
+def _lifetime_bits(result) -> dict:
+    """A result's full dict form, minus the policy name (the injected-
+    fault policies run Hayat under another name)."""
+    from repro.sim.export import result_to_dict
+
+    data = result_to_dict(result)
+    del data["policy_name"]
+    return data
+
+
+@pytest.fixture(scope="module")
+def three_chips(pieces):
+    """Three chips and their clean per-chip Hayat lifetimes."""
+    cfg, _, table = pieces
+    population = generate_population(3, seed=23)
+    clean = run_campaign(
+        [HayatManager()], config=cfg, population=population, table=table,
+    )
+    return population, clean.results["hayat"]
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["in_process", "spawn_pool"])
+class TestFaultMatrix:
+    """Each fault behaves the same on the in-process host and a spawn
+    pool: one dispatch loop decides retry, demotion and exhaustion."""
+
+    def test_retried_job_equals_clean_run(
+        self, pieces, three_chips, tmp_path, workers
+    ):
+        cfg, _, table = pieces
+        population, clean = three_chips
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            campaign = run_campaign(
+                [FlakyPolicy("chip-01", str(tmp_path / "armed"))],
+                config=cfg, population=population, table=table,
+                workers=workers, retries=1,
+            )
+        assert registry.counter("campaign.retries") == 1
+        assert campaign.failures == []
+        assert [_lifetime_bits(r) for r in campaign.results["flaky"]] == [
+            _lifetime_bits(r) for r in clean
+        ]
+
+    def test_exhausted_job_degrades_to_empty_lifetime(
+        self, pieces, three_chips, workers
+    ):
+        cfg, _, table = pieces
+        population, clean = three_chips
+        reported = []
+        campaign = run_campaign(
+            [AlwaysCrashPolicy("chip-00")],
+            config=cfg, population=population, table=table,
+            workers=workers, retries=1, allow_partial=True,
+            progress=lambda policy, chip: reported.append(chip),
+        )
+        (failure,) = campaign.failures
+        assert (failure.chip_id, failure.kind, failure.attempts) == (
+            "chip-00", "error", 2,
+        )
+        assert failure.message == "RuntimeError: injected permanent fault"
+        degraded, *completed = campaign.results["crashy"]
+        assert degraded.chip_id == "chip-00" and degraded.epochs == []
+        assert [_lifetime_bits(r) for r in completed] == [
+            _lifetime_bits(r) for r in clean[1:]
+        ]
+        # Progress reports each job that completed with a result, once.
+        assert sorted(reported) == ["chip-01", "chip-02"]
+
+    def test_poisoned_batch_demotes_and_spares_innocents(
+        self, pieces, three_chips, workers
+    ):
+        cfg, _, table = pieces
+        population, clean = three_chips
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            campaign = run_campaign(
+                [AlwaysCrashPolicy("chip-01")],
+                config=cfg, population=population, table=table,
+                workers=workers, retries=1, allow_partial=True,
+                batch_size=3,
+            )
+        assert registry.counter("campaign.batch_demotions") == 1
+        (failure,) = campaign.failures
+        # A demoted singleton gets one final attempt, so the culprit
+        # reports what a never-batched run would (retries + 1) and only
+        # the batch's own retry is charged.
+        assert (failure.chip_id, failure.attempts) == ("chip-01", 2)
+        assert registry.counter("campaign.retries") == 1
+        first, culprit, last = campaign.results["crashy"]
+        assert culprit.epochs == []
+        assert _lifetime_bits(first) == _lifetime_bits(clean[0])
+        assert _lifetime_bits(last) == _lifetime_bits(clean[2])
