@@ -34,8 +34,10 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro.sim.fleet import FleetDaemon, ResultStore, submit_request  # noqa: E402
 
+#: Hayat runs with a knob, so the kill-and-resume and re-submission
+#: checks cover the policy-knob part of every job's cache key.
 REQUEST = {
-    "policies": ["vaa", "hayat"],
+    "policies": ["vaa", {"type": "hayat", "comm_weight": 2.0}],
     "chips": 3,
     "dark_fractions": [0.5],
     "years": 1.0,

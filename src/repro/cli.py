@@ -23,27 +23,15 @@ import numpy as np
 
 from repro.aging.tables import default_aging_table
 from repro.analysis import format_table, metrics_report, render_core_map
-from repro.baselines import (
-    ContiguousManager,
-    CoolestFirstManager,
-    RandomManager,
-    VAAManager,
-)
+from repro.baselines import VAAManager
 from repro.core import HayatManager
 from repro.obs import disable_metrics, enable_metrics, write_trace_jsonl
 from repro.sim import ChipContext, LifetimeSimulator, SimulationConfig, run_campaign
 from repro.sim.campaign import DEFAULT_BATCH_SIZE
 from repro.sim.export import save_results_json, save_summary_csv
+from repro.sim.scenario import POLICIES, ScenarioError, load_scenario, run_scenario
 from repro.util.constants import AMBIENT_KELVIN
 from repro.variation import generate_population
-
-POLICIES = {
-    "hayat": HayatManager,
-    "vaa": VAAManager,
-    "contiguous": ContiguousManager,
-    "coolest": CoolestFirstManager,
-    "random": RandomManager,
-}
 
 
 def _int_at_least(minimum: int):
@@ -162,17 +150,21 @@ def _report_failures(failures) -> None:
         print(f"  {failure.describe()}")
 
 
-def _export_campaign(args, campaign) -> None:
-    """Write the ``--csv`` summaries and the ``--report`` markdown."""
+def _export_campaigns(args, campaigns) -> None:
+    """Write the ``--csv`` summaries and the ``--report`` markdown (one
+    report section per campaign, i.e. per dark floor)."""
     if args.csv:
-        everything = [r for runs in campaign.results.values() for r in runs]
+        everything = [
+            r for campaign in campaigns for runs in campaign.results.values()
+            for r in runs
+        ]
         save_summary_csv(everything, args.csv)
         print(f"wrote {args.csv}")
     if args.report:
         from repro.analysis import campaign_report
 
         with open(args.report, "w") as handle:
-            handle.write(campaign_report(campaign))
+            handle.write("\n".join(campaign_report(c) for c in campaigns))
         print(f"wrote {args.report}")
 
 
@@ -422,27 +414,31 @@ def _cmd_campaign(args) -> int:
             title="Normalized comparison (below 1.0 = Hayat better)",
         )
     )
-    _export_campaign(args, campaign)
+    _export_campaigns(args, [campaign])
     _finish_observability(args, registry)
     return 0
 
 
 def _cmd_run_scenario(args) -> int:
-    from repro.sim import ScenarioError, load_scenario, run_scenario
-
     try:
         scenario = load_scenario(args.path)
-        name = scenario.get("name", args.path)
+        name = scenario.get("name", args.path) if isinstance(scenario, dict) else args.path
         print(f"Running scenario {name!r}...")
-        campaign = run_scenario(
+        sweep = run_scenario(
             scenario,
             progress=lambda policy, chip: print(f"  {policy} / {chip}"),
         )
     except ScenarioError as error:
         print(f"scenario error: {error}")
         return 2
-    print(f"done: policies {campaign.policies()}")
-    _export_campaign(args, campaign)
+    campaigns = list(sweep.campaigns.values())
+    for campaign in campaigns:
+        _report_failures(campaign.failures)
+    print(
+        f"done: policies {campaigns[0].policies()} at dark floors "
+        f"{sweep.fractions}"
+    )
+    _export_campaigns(args, campaigns)
     return 0
 
 
@@ -498,8 +494,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import json
-
     from repro.sim.fleet import FleetDaemon, fleet_status, submit_request
 
     if args.status:
@@ -527,9 +521,7 @@ def _cmd_serve(args) -> int:
         return 0
 
     if args.submit:
-        with open(args.submit, encoding="utf-8") as handle:
-            data = json.load(handle)
-        request_id = submit_request(args.fleet_dir, data)
+        request_id = submit_request(args.fleet_dir, load_scenario(args.submit))
         print(request_id)
         return 0
 

@@ -4,7 +4,7 @@ Per aging epoch, the manager (1) selects a variation- and temperature-
 aware Dark Core Map sized to the workload under the platform's
 dark-silicon floor, and (2) runs Algorithm 1 to place every thread.  It
 implements the policy protocol the lifetime simulator drives (see
-:mod:`repro.sim.policies`), as do the baselines.
+:class:`repro.sim.simulator.LifetimeSimulator`), as do the baselines.
 """
 
 from __future__ import annotations

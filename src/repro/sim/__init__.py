@@ -14,10 +14,10 @@ from repro.sim.results import EpochRecord, LifetimeResult
 from repro.sim.simulator import LifetimeSimulator
 from repro.sim.batch import BatchLifetimeSimulator
 from repro.sim.campaign import CampaignResult, run_campaign
-from repro.sim.checkpoint import CampaignCheckpoint, campaign_digest, job_key
+from repro.sim.checkpoint import CampaignCheckpoint, campaign_digest, job_keys
 from repro.sim.supervisor import CampaignJobError, JobFailure
 from repro.sim.regression import Drift, compare_results
-from repro.sim.scenario import ScenarioError, load_scenario, run_scenario
+from repro.sim.scenario import Scenario, ScenarioError, load_scenario, run_scenario
 from repro.sim.sweep import SweepResult, sweep_dark_fractions
 
 __all__ = [
@@ -26,10 +26,11 @@ __all__ = [
     "CampaignResult",
     "Drift",
     "JobFailure",
+    "Scenario",
     "ScenarioError",
     "campaign_digest",
     "compare_results",
-    "job_key",
+    "job_keys",
     "SweepResult",
     "load_scenario",
     "run_scenario",

@@ -10,8 +10,9 @@ checkpoint path skips every recorded job and merges the stored results
 and metrics back in, so the final aggregates are bit-identical to an
 uninterrupted run.
 
-Records are keyed by ``(policy_name, chip_id, dark_fraction_min,
-config_digest)``.  The digest hashes the full
+Records are keyed by ``(policy, chip_id, dark_fraction_min,
+config_digest)`` (:func:`job_keys`; the policy part digests its
+knobs).  The config digest hashes the full
 :class:`~repro.sim.config.SimulationConfig` *and* fingerprints of the
 chip population and aging table, so a checkpoint can never leak results
 across different configurations, silicon, or physics — a mismatched run
@@ -51,8 +52,10 @@ from repro.sim.results import LifetimeResult
 #: through the canonical type-tagged encoding of :func:`_hash_value`
 #: instead of ``repr`` (whose numpy truncation could collide two
 #: different configs, and whose formatting can drift across library
-#: versions), so version-1 digests are not comparable.
-CHECKPOINT_VERSION = 2
+#: versions), so version-1 digests are not comparable.  Version 3: job
+#: keys carry a digest of the policy's attributes (:func:`job_keys`),
+#: so a version-2 record cannot tell which knobs produced it.
+CHECKPOINT_VERSION = 3
 
 
 def _hash_array(hasher, array) -> None:
@@ -175,11 +178,23 @@ def campaign_digest(config, population=None, table=None) -> str:
     return hasher.hexdigest()[:16]
 
 
-def job_key(
-    policy_name: str, chip_id: str, dark_fraction_min: float, digest: str
-) -> str:
-    """The checkpoint key of one campaign job."""
-    return f"{policy_name}|{chip_id}|{float(dark_fraction_min)!r}|{digest}"
+def job_keys(jobs, dark_fraction_min: float, digest: str) -> list[str]:
+    """The checkpoint key of each ``(policy, chip)`` job of one floor.
+
+    The policy part is its name plus a canonical digest of its
+    attributes (computed once per policy object), so a differently
+    configured policy of the same name never replays another's results.
+    """
+    policies: dict[int, str] = {}
+    for policy, _ in jobs:
+        if id(policy) not in policies:
+            digest_hex = _hash_value_digest(vars(policy)).hex()[:12]
+            policies[id(policy)] = f"{policy.name}#{digest_hex}"
+    floor = float(dark_fraction_min)
+    return [
+        f"{policies[id(policy)]}|{chip.chip_id}|{floor!r}|{digest}"
+        for policy, chip in jobs
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.util.constants import T_SAFE_KELVIN
 from repro.util.validation import check_fraction, check_positive
+
+#: What a field must hold: a real number unless listed in ``_KINDS``.
+_NUMBER = ((int, float, np.integer, np.floating), "a number")
+_KINDS = {
+    "seed": ((int, np.integer), "an int"),
+    "delta_candidates": ((bool, np.bool_), "true or false"),
+}
 
 
 @dataclass(frozen=True)
@@ -69,6 +78,15 @@ class SimulationConfig:
     delta_candidates: bool = True
 
     def __post_init__(self) -> None:
+        # ``float()`` in the range checks below would accept "0.5" or
+        # True, and the run would fail on arithmetic far from the cause.
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            types, kind = _KINDS.get(name, _NUMBER)
+            if not isinstance(value, types) or (
+                isinstance(value, bool) and name != "delta_candidates"
+            ):
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
         check_positive("lifetime_years", self.lifetime_years)
         check_positive("epoch_years", self.epoch_years)
         check_fraction("dark_fraction_min", self.dark_fraction_min)

@@ -16,19 +16,15 @@ from repro.sim.fleet.aggregates import (
     aggregate_store,
 )
 from repro.sim.fleet.daemon import (
-    FLEET_POLICIES,
     FleetDaemon,
-    FleetRequest,
     fleet_status,
     submit_request,
 )
 from repro.sim.fleet.store import ResultStore, result_blocks, result_scalars
 
 __all__ = [
-    "FLEET_POLICIES",
     "FleetAggregates",
     "FleetDaemon",
-    "FleetRequest",
     "GroupAggregates",
     "Histogram",
     "ResultStore",

@@ -5,9 +5,10 @@ overnight sweeps, repeated what-ifs — too many jobs to hold in memory
 and too long-lived to re-provision a worker pool per request.  The
 daemon turns the one-shot campaign machinery into a service:
 
-* **Spool-directory queue** — clients drop request JSON into
-  ``<root>/spool/`` (atomically, via :func:`submit_request`); the
-  daemon polls, runs each request, writes its response to
+* **Spool-directory queue** — clients drop requests (campaign
+  documents, :mod:`repro.sim.scenario`) into ``<root>/spool/``
+  (atomically, via :func:`submit_request`); the daemon polls, runs
+  each request, writes its response to
   ``<root>/results/<request_id>.json`` and retires the request file to
   ``<root>/done/``.  No sockets, no wire protocol — the filesystem is
   the API, which also makes the queue itself crash-durable.
@@ -25,11 +26,11 @@ daemon turns the one-shot campaign machinery into a service:
   A million-job fleet therefore holds only the store index and the
   per-group running aggregates.
 * **Content-addressed result cache** — each job's identity is its
-  :func:`~repro.sim.checkpoint.job_key` (policy, chip, dark floor,
-  canonical campaign digest, plus the MTTF requirement and the unit
-  size).  A job already in the store is answered from it without
-  simulating; re-submitting a completed request touches zero workers
-  (``fleet.cache_hits`` counts the hits).
+  :func:`~repro.sim.checkpoint.job_keys` key (policy name and knobs,
+  chip, dark floor, canonical campaign digest, plus the MTTF
+  requirement and the unit size).  A job already in the store is
+  answered from it without simulating; re-submitting a completed
+  request touches zero workers (``fleet.cache_hits`` counts the hits).
 * **Crash-safe resume** — SIGKILL the daemon mid-request and restart
   it: the store's scan recovers every completed job (at most the one
   torn final record re-runs), the pending request is still in the
@@ -49,42 +50,23 @@ scientific payload is byte-equal.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, fields, replace
 
 from repro.aging.tables import default_aging_table
-from repro.baselines import (
-    ContiguousManager,
-    CoolestFirstManager,
-    RandomManager,
-    VAAManager,
-)
-from repro.core import HayatManager
 from repro.obs import get_registry
-from repro.sim.campaign import DEFAULT_BATCH_SIZE, build_shared
-from repro.sim.checkpoint import campaign_digest, job_key
-from repro.sim.config import SimulationConfig
+from repro.sim.campaign import build_shared
+from repro.sim.checkpoint import campaign_digest, job_keys
 from repro.sim.fleet.aggregates import FleetAggregates, aggregate_store
 from repro.sim.fleet.store import ResultStore
+from repro.sim.scenario import Scenario, load_scenario
 from repro.sim.supervisor import (
     CampaignJobError,
     WorkerPoolHost,
     run_supervised_jobs,
 )
 from repro.variation.population import generate_population
-
-#: Policies a fleet request may name (mirrors the CLI's registry; kept
-#: here so the daemon is importable without the CLI module).
-FLEET_POLICIES = {
-    "hayat": HayatManager,
-    "vaa": VAAManager,
-    "contiguous": ContiguousManager,
-    "coolest": CoolestFirstManager,
-    "random": RandomManager,
-}
 
 _SPOOL = "spool"
 _RESULTS = "results"
@@ -104,181 +86,13 @@ def _atomic_write_json(path: str, payload: dict) -> None:
     os.replace(tmp, path)
 
 
-@dataclass
-class FleetRequest:
-    """One validated fleet campaign request.
-
-    The JSON form accepts ``policies`` (names from
-    :data:`FLEET_POLICIES`), ``chips``, ``population_seed``,
-    ``dark_fractions`` (one campaign per floor, deduplicated in order,
-    like :func:`~repro.sim.sweep.sweep_dark_fractions`), ``years`` /
-    ``window_s`` / ``seed`` shortcuts, an optional ``config`` dict of
-    further :class:`~repro.sim.config.SimulationConfig` overrides, a
-    ``requirement_ghz`` for MTTF accounting, an optional ``baseline``
-    policy for normalized metrics in the response, ``batch_size``
-    (chips per dispatch unit, default 32 like ``repro campaign``),
-    ``retries``, ``allow_partial`` (default true), and an optional
-    ``request_id`` (defaulting to a content hash, so identical requests
-    share an identity and a response file).
-    """
-
-    request_id: str
-    policies: list[str]
-    chips: int
-    population_seed: int
-    #: One config per distinct dark floor, in request order.
-    configs: list[SimulationConfig]
-    requirement_ghz: float = 1.0
-    baseline: str | None = None
-    batch_size: int = DEFAULT_BATCH_SIZE
-    retries: int = 0
-    allow_partial: bool = True
-
-    _KNOWN = {
-        "request_id",
-        "policies",
-        "chips",
-        "population_seed",
-        "dark_fractions",
-        "years",
-        "window_s",
-        "seed",
-        "config",
-        "requirement_ghz",
-        "baseline",
-        "batch_size",
-        "retries",
-        "allow_partial",
-    }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FleetRequest":
-        """Validate every field the daemon will use.
-
-        Raises ``ValueError`` naming the bad field, so a request that
-        would fail to run is refused by :func:`submit_request`, and one
-        dropped straight into the spool is answered with an error.
-        """
-        if not isinstance(data, dict):
-            raise ValueError(f"request must be a JSON object, got {type(data).__name__}")
-        unknown = sorted(set(data) - cls._KNOWN)
-        if unknown:
-            raise ValueError(
-                f"unknown request field(s) {unknown}; "
-                f"known fields: {sorted(cls._KNOWN)}"
-            )
-        policies = data.get("policies", ["vaa", "hayat"])
-        if not isinstance(policies, list) or not all(
-            isinstance(name, str) for name in policies
-        ):
-            raise ValueError(f"policies must be a list of names, got {policies!r}")
-        policies = list(dict.fromkeys(policies))
-        if not policies:
-            raise ValueError("request needs at least one policy")
-        for name in policies:
-            if name not in FLEET_POLICIES:
-                raise ValueError(
-                    f"unknown policy {name!r}; "
-                    f"choose from {sorted(FLEET_POLICIES)}"
-                )
-        baseline = data.get("baseline")
-        if baseline is not None and baseline not in policies:
-            raise ValueError(
-                f"baseline {baseline!r} is not among the requested "
-                f"policies {policies}"
-            )
-        fractions = data.get("dark_fractions", [0.5])
-        if not isinstance(fractions, list) or not all(map(_is_number, fractions)):
-            raise ValueError(
-                f"dark_fractions must be a list of numbers, got {fractions!r}"
-            )
-        fractions = list(dict.fromkeys(float(f) for f in fractions))
-        if not fractions:
-            raise ValueError("request needs at least one dark fraction")
-        overrides = data.get("config", {})
-        if not isinstance(overrides, dict):
-            raise ValueError(f"config must be a JSON object, got {overrides!r}")
-        overrides = dict(overrides)
-        for shortcut, config_field in (
-            ("years", "lifetime_years"),
-            ("window_s", "window_s"),
-            ("seed", "seed"),
-        ):
-            if shortcut in data:
-                overrides[config_field] = data[shortcut]
-        valid_fields = {f.name for f in fields(SimulationConfig)}
-        bad = sorted(set(overrides) - valid_fields)
-        if bad:
-            raise ValueError(
-                f"unknown config field(s) {bad}; "
-                f"known fields: {sorted(valid_fields)}"
-            )
-        try:
-            config = replace(SimulationConfig(), **overrides)
-            configs = [replace(config, dark_fraction_min=f) for f in fractions]
-        except TypeError as error:
-            raise ValueError(f"invalid config: {error}") from error
-        requirement = data.get("requirement_ghz", 1.0)
-        if not _is_number(requirement) or not requirement > 0:
-            raise ValueError(
-                f"requirement_ghz must be a positive number, got {requirement!r}"
-            )
-        allow_partial = data.get("allow_partial", True)
-        if not isinstance(allow_partial, bool):
-            raise ValueError(
-                f"allow_partial must be true or false, got {allow_partial!r}"
-            )
-        request_id = str(data.get("request_id") or request_digest(data))
-        if os.path.basename(request_id) != request_id or request_id in (".", ".."):
-            raise ValueError(f"request_id must be a file name, got {request_id!r}")
-        return cls(
-            request_id=request_id,
-            policies=policies,
-            chips=_int_field(data, "chips", 5, minimum=1),
-            population_seed=_int_field(data, "population_seed", 42, minimum=0),
-            configs=configs,
-            requirement_ghz=float(requirement),
-            baseline=baseline,
-            batch_size=_int_field(
-                data, "batch_size", DEFAULT_BATCH_SIZE, minimum=1
-            ),
-            retries=_int_field(data, "retries", 0, minimum=0),
-            allow_partial=allow_partial,
-        )
-
-    @property
-    def job_count(self) -> int:
-        return len(self.policies) * self.chips * len(self.configs)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _int_field(data: dict, name: str, default: int, *, minimum: int) -> int:
-    value = data.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
-    return value
-
-
-def request_digest(data: dict) -> str:
-    """Content hash identifying a request (its default ``request_id``)."""
-    canonical = json.dumps(
-        {k: v for k, v in data.items() if k != "request_id"},
-        sort_keys=True,
-        default=str,
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
-
-
 def submit_request(root: str, data: dict) -> str:
     """Drop one request into the fleet spool; returns its request id.
 
     The write is atomic (tmp + rename in the same directory), so the
     daemon can never observe a half-written request.
     """
-    request = FleetRequest.from_dict(data)  # validate before queueing
+    request = Scenario.from_dict(data)  # validate before queueing
     spool = os.path.join(os.fspath(root), _SPOOL)
     os.makedirs(spool, exist_ok=True)
     payload = dict(data)
@@ -437,9 +251,7 @@ class FleetDaemon:
             # other, so it can neither stop the serve loop nor stay in
             # the spool to fail again on every restart.
             try:
-                with open(path, encoding="utf-8") as handle:
-                    data = json.load(handle)
-                request = FleetRequest.from_dict(data)
+                request = Scenario.from_dict(load_scenario(path))
             except (ValueError, OSError) as error:
                 response = {"error": f"{type(error).__name__}: {error}"}
             else:
@@ -479,7 +291,7 @@ class FleetDaemon:
             self._populations[key] = generate_population(chips, seed=seed)
         return self._populations[key]
 
-    def _run_request(self, request: FleetRequest, progress=None) -> dict:
+    def _run_request(self, request: Scenario, progress=None) -> dict:
         """Run one request: shard per floor, cache-check, simulate, fold.
 
         Jobs are keyed before anything runs; keys already in the store
@@ -497,9 +309,7 @@ class FleetDaemon:
             if self.requirement_ghz is not None
             else request.requirement_ghz
         )
-        policy_objects = {
-            name: FLEET_POLICIES[name]() for name in request.policies
-        }
+        jobs = [(policy, chip) for policy in request.policies for chip in population]
 
         all_keys: list[str] = []
         failures: list = []
@@ -512,19 +322,14 @@ class FleetDaemon:
                 # differs in either must miss the cache, not read stale
                 # records.
                 cache_digest = f"{digest}:r{requirement!r}:b{request.batch_size}"
-                floor_jobs = []
-                for name in request.policies:
-                    policy = policy_objects[name]
-                    for chip in population:
-                        key = job_key(
-                            name, chip.chip_id, config.dark_fraction_min,
-                            cache_digest,
-                        )
-                        all_keys.append(key)
-                        if key in self.store:
-                            hits += 1
-                        else:
-                            floor_jobs.append((key, (policy, chip)))
+                keys = job_keys(jobs, config.dark_fraction_min, cache_digest)
+                all_keys.extend(keys)
+                floor_jobs = [
+                    (key, job)
+                    for key, job in zip(keys, jobs)
+                    if key not in self.store
+                ]
+                hits += len(jobs) - len(floor_jobs)
                 misses += len(floor_jobs)
                 if not floor_jobs:
                     continue

@@ -8,7 +8,7 @@ finishes and keeping only a tiny in-memory index:
 
 ``scalars.jsonl``
     One line per job: format version, the content-addressed job key
-    (:func:`repro.sim.checkpoint.job_key`), the scalar summary every
+    (:func:`repro.sim.checkpoint.job_keys`), the scalar summary every
     aggregate needs (:func:`result_scalars`), and a block table of
     ``name -> [byte offset, element count]`` pointers into the blocks
     file.
@@ -50,7 +50,11 @@ from repro.util.constants import AMBIENT_KELVIN
 
 #: Format marker of scalar lines; bumped on layout changes so an old
 #: store degrades to "no usable records" instead of mis-parsing.
-STORE_VERSION = 1
+#: Version 2: job keys carry a digest of the policy's knobs
+#: (:func:`repro.sim.checkpoint.job_keys`); skipping version-1 lines
+#: also keeps their jobs from being folded a second time, under their
+#: new keys, into the daemon's running aggregates.
+STORE_VERSION = 2
 
 #: Block names every record carries (missing data stores empty blocks).
 BLOCK_NAMES = ("avg_fmax", "final_health")

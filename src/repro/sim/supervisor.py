@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 from repro.obs import MetricsRegistry, get_registry, use_registry
 from repro.sim.batch import BatchLifetimeSimulator
-from repro.sim.checkpoint import CampaignCheckpoint, job_key
+from repro.sim.checkpoint import CampaignCheckpoint, job_keys
 from repro.sim.context import ChipContext
 from repro.sim.results import LifetimeResult
 from repro.sim.simulator import LifetimeSimulator
@@ -422,7 +422,11 @@ def run_supervised_jobs(
     registry = get_registry()
     results: list = [None] * len(jobs)
     failures: list[JobFailure] = []
-    keys: list[str | None] = [None] * len(jobs)
+    keys = (
+        job_keys(jobs, config.dark_fraction_min, digest)
+        if checkpoint is not None
+        else None
+    )
 
     # Resume: replay recorded jobs before any dispatch.  Units form
     # *after* this filter, so a resumed campaign batches only the jobs
@@ -430,9 +434,6 @@ def run_supervised_jobs(
     remaining: list = []
     for index, (policy, chip) in enumerate(jobs):
         if checkpoint is not None:
-            keys[index] = job_key(
-                policy.name, chip.chip_id, config.dark_fraction_min, digest
-            )
             record = checkpoint.get(keys[index])
             if record is not None:
                 results[index] = record.result

@@ -101,7 +101,8 @@ class TestScenarioCommand:
             json.dumps(
                 {
                     "name": "cli-scenario",
-                    "population": {"num_chips": 1, "seed": 4},
+                    "chips": 1,
+                    "population_seed": 4,
                     "config": {"lifetime_years": 0.5, "window_s": 5.0},
                     "policies": [{"type": "hayat"}],
                 }
@@ -115,6 +116,12 @@ class TestScenarioCommand:
         path.write_text(json.dumps({"policies": [{"type": "magic"}]}))
         assert main(["run-scenario", str(path)]) == 2
         assert "scenario error" in capsys.readouterr().out
+
+    def test_non_object_document_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        assert main(["run-scenario", str(path)]) == 2
+        assert "must be a JSON object" in capsys.readouterr().out
 
 
 class TestSweepCommand:

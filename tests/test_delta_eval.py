@@ -480,7 +480,7 @@ class TestCampaignIdentity:
             )
             with pytest.raises(CampaignJobError):
                 run_campaign(
-                    [InterruptedHayat("chip-01")],
+                    [InterruptedHayat()],
                     config=cfg, population=population, table=aging_table,
                     checkpoint=path,
                 )

@@ -36,6 +36,10 @@ from tests.test_sim_checkpoint import InterruptedHayat
 from tests.test_sim_window import StepwiseDTM
 
 
+class InterruptedOnChip02(InterruptedHayat):
+    crash_chip = "chip-02"
+
+
 #: The ``batch_size`` a ``repro campaign`` run passes by default.
 CLI_DEFAULT_BATCH_SIZE = _build_parser().parse_args(["campaign"]).batch_size
 
@@ -404,7 +408,7 @@ class TestBatchedResume:
         with use_registry(MetricsRegistry()):
             with pytest.raises(CampaignJobError):
                 run_campaign(
-                    [InterruptedHayat("chip-02")],
+                    [InterruptedOnChip02()],
                     config=cfg, population=population, table=table,
                     checkpoint=path, batch_size=3,
                 )

@@ -19,7 +19,7 @@ from repro.sim import (
     CampaignJobError,
     SimulationConfig,
     campaign_digest,
-    job_key,
+    job_keys,
     run_campaign,
 )
 from repro.sim.checkpoint import (
@@ -30,14 +30,22 @@ from repro.sim.checkpoint import (
 )
 from repro.sim.export import result_to_dict
 from repro.variation import generate_population
-from tests.test_sim_supervisor import AlwaysCrashPolicy, tiny_config
+from tests.test_sim_supervisor import tiny_config
 
 
-class InterruptedHayat(AlwaysCrashPolicy):
-    """Hayat by name and behavior, except it dies on one chip — so the
-    records it checkpoints are resumable by a real ``HayatManager``."""
+class InterruptedHayat(HayatManager):
+    """Hayat by name, knobs and behavior, except it dies on
+    ``crash_chip`` — so the records it checkpoints are resumable by a
+    real ``HayatManager``.  The chip is a class attribute: job keys
+    digest a policy's instance attributes, which must match Hayat's."""
 
     name = "hayat"
+    crash_chip = "chip-01"
+
+    def prepare_epoch(self, ctx, mix, epoch_years):
+        if ctx.chip.chip_id == self.crash_chip:
+            raise RuntimeError("injected permanent fault")
+        return super().prepare_epoch(ctx, mix, epoch_years)
 
 
 @pytest.fixture(scope="module")
@@ -77,9 +85,19 @@ class TestDigestAndKeys:
         other_population = generate_population(3, seed=31)
         assert campaign_digest(cfg, other_population, table) != base
 
-    def test_job_key_fields(self):
-        key = job_key("hayat", "chip-02", 0.25, "abc123")
-        assert key == "hayat|chip-02|0.25|abc123"
+    def test_job_key_fields(self, pieces):
+        _, population, _ = pieces
+        chip = population[2]
+        (key,) = job_keys([(HayatManager(), chip)], 0.25, "abc123")
+        policy, chip_id, floor, digest = key.split("|")
+        assert policy.startswith("hayat#")
+        assert (chip_id, floor, digest) == (chip.chip_id, "0.25", "abc123")
+        # The policy part digests the knobs, not the object identity.
+        same, knob = job_keys(
+            [(HayatManager(), chip), (HayatManager(comm_weight=2.0), chip)],
+            0.25, "abc123",
+        )
+        assert same == key != knob
 
 
 @dataclass(frozen=True)
@@ -220,7 +238,7 @@ class TestResume:
         with use_registry(MetricsRegistry()):
             with pytest.raises(CampaignJobError):
                 run_campaign(
-                    [InterruptedHayat("chip-01")],
+                    [InterruptedHayat()],
                     config=cfg, population=population, table=table,
                     checkpoint=path,
                 )
@@ -258,6 +276,33 @@ class TestResume:
             if k not in meta
         }
         assert reference_counters == resumed_counters
+
+    def test_resume_never_replays_a_differently_configured_policy(
+        self, aging_table, tmp_path
+    ):
+        """Job keys carry the policy's knobs: a checkpoint written by
+        ``HayatManager(comm_weight=50)`` must not answer a plain
+        ``HayatManager`` of the same name."""
+        cfg = SimulationConfig(
+            lifetime_years=1.0, epoch_years=0.5, dark_fraction_min=0.5,
+            window_s=3.0, seed=3,
+        )
+        population = generate_population(1, seed=29)
+        path = str(tmp_path / "campaign.jsonl")
+
+        def run(policy, checkpoint=None):
+            campaign = run_campaign(
+                [policy], config=cfg, population=population,
+                table=aging_table, checkpoint=checkpoint,
+            )
+            return result_to_dict(campaign.results["hayat"][0])
+
+        clean = run(HayatManager())
+        assert run(HayatManager(comm_weight=50), path) != clean
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            assert run(HayatManager(), path) == clean
+        assert registry.counter("campaign.resumed_jobs") == 0
 
     def test_resume_skips_nothing_for_different_silicon(self, pieces, tmp_path):
         """A checkpoint written for one population must not poison a

@@ -30,6 +30,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimulationConfig(dark_fraction_min=1.2)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("lifetime_years", "0.5"),
+            ("window_s", True),
+            ("seed", 1.9),
+            ("seed", "3"),
+            ("delta_candidates", "false"),
+        ],
+    )
+    def test_rejects_mistyped_values(self, field, value):
+        """``float()`` accepts "0.5" and True; the run would then fail
+        on arithmetic (or, for a seed, on the RNG) far from the cause."""
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig(**{field: value})
+
 
 class TestContextProperties:
     def test_max_on_cores(self, chip, aging_table):

@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from repro.obs import MetricsRegistry, use_registry
-from repro.sim import SimulationConfig, run_campaign
+from repro.sim import Scenario, ScenarioError, run_campaign
+from repro.sim import scenario as scenario_module
 from repro.sim.fleet import (
     FleetDaemon,
-    FleetRequest,
     ResultStore,
     aggregate_campaign,
     aggregate_store,
@@ -195,9 +195,13 @@ class TestAggregates:
         assert 0.5 in normalized["hayat"]
 
 
-#: Request fields that must be refused when submitted (and answered
-#: with an error when dropped straight into the spool).
-BAD_FIELDS = [
+#: Malformed campaign documents and the field each refusal must name.
+#: A fleet request is a campaign document, so this one table pins the
+#: field checks of ``Scenario.from_dict`` for scenarios and requests
+#: alike, through ``submit_request`` (and, below, through a request
+#: dropped straight into the spool).  Unknown names are checked by the
+#: ``test_unknown_*`` tests of ``TestFleetRequest``.
+BAD_DOCUMENTS = [
     ({"batch_size": 0}, "batch_size"),
     ({"batch_size": "big"}, "batch_size"),
     ({"batch_size": None}, "batch_size"),
@@ -208,49 +212,60 @@ BAD_FIELDS = [
     ({"allow_partial": "no"}, "allow_partial"),
     ({"requirement_ghz": None}, "requirement_ghz"),
     ({"request_id": "../escape"}, "request_id"),
+    ({"config": {"dark_fraction_min": 0.25}}, "dark_fractions"),
+    ({"years": "0.5"}, "lifetime_years"),
+    ({"seed": 1.9}, "seed"),
+    ({"config": {"lifetime_years": 2.0}}, "years and config.lifetime_years"),
+    ({"policies": []}, "at least one policy"),
+    ({"policies": [{"comm_weight": 2.0}]}, "'type'"),
+    ({"policies": [{"type": "hayat", "nope": 1}]}, "bad arguments"),
+    (
+        {"policies": ["hayat", {"type": "hayat", "comm_weight": 2.0}]},
+        "duplicate policy names",
+    ),
 ]
 
 
 class TestFleetRequest:
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown policy"):
-            FleetRequest.from_dict(fleet_request(policies=["warp-drive"]))
+        with pytest.raises(ScenarioError, match="unknown policy"):
+            Scenario.from_dict(fleet_request(policies=["warp-drive"]))
 
     def test_unknown_fields_rejected(self):
-        with pytest.raises(ValueError, match="unknown request field"):
-            FleetRequest.from_dict(fleet_request(frobnicate=True))
+        with pytest.raises(ScenarioError, match="unknown field"):
+            Scenario.from_dict(fleet_request(frobnicate=True))
 
     def test_unknown_config_field_rejected(self):
-        with pytest.raises(ValueError, match="unknown config field"):
-            FleetRequest.from_dict(fleet_request(config={"warp": 9}))
+        with pytest.raises(ScenarioError, match="unknown config field"):
+            Scenario.from_dict(fleet_request(config={"warp": 9}))
 
     def test_baseline_must_be_requested(self):
-        with pytest.raises(ValueError, match="baseline"):
-            FleetRequest.from_dict(
+        with pytest.raises(ScenarioError, match="baseline"):
+            Scenario.from_dict(
                 fleet_request(policies=["hayat"], baseline="vaa")
             )
 
     def test_content_addressed_request_id(self):
-        a = FleetRequest.from_dict(fleet_request())
-        b = FleetRequest.from_dict(fleet_request())
-        c = FleetRequest.from_dict(fleet_request(seed=4))
+        a = Scenario.from_dict(fleet_request())
+        b = Scenario.from_dict(fleet_request())
+        c = Scenario.from_dict(fleet_request(seed=4))
         assert a.request_id == b.request_id != c.request_id
 
     def test_batch_size_defaults_to_the_cli_default(self):
         from repro.cli import _build_parser
 
         cli_default = _build_parser().parse_args(["campaign"]).batch_size
-        assert FleetRequest.from_dict(fleet_request()).batch_size == cli_default
-        assert FleetRequest.from_dict(fleet_request(batch_size=3)).batch_size == 3
+        assert Scenario.from_dict(fleet_request()).batch_size == cli_default
+        assert Scenario.from_dict(fleet_request(batch_size=3)).batch_size == 3
 
-    @pytest.mark.parametrize("bad,cause", BAD_FIELDS, ids=str)
+    @pytest.mark.parametrize("bad,cause", BAD_DOCUMENTS, ids=str)
     def test_submit_rejects_bad_field(self, bad, cause, tmp_path):
-        with pytest.raises(ValueError, match=cause):
+        with pytest.raises(ScenarioError, match=cause):
             submit_request(str(tmp_path), fleet_request(**bad))
         assert not os.path.exists(tmp_path / "spool")
 
     def test_shortcuts_land_in_config(self):
-        request = FleetRequest.from_dict(fleet_request(years=2.0, seed=7))
+        request = Scenario.from_dict(fleet_request(years=2.0, seed=7))
         (config,) = request.configs
         assert config.lifetime_years == 2.0
         assert config.seed == 7
@@ -311,7 +326,7 @@ class TestDaemon:
         assert "unknown policy" in response["error"]
         assert not os.listdir(spool)
 
-    @pytest.mark.parametrize("bad,cause", BAD_FIELDS, ids=str)
+    @pytest.mark.parametrize("bad,cause", BAD_DOCUMENTS, ids=str)
     def test_bad_spooled_request_is_answered_and_serving_continues(
         self, bad, cause, tmp_path
     ):
@@ -331,7 +346,7 @@ class TestDaemon:
             assert not os.listdir(spool)
         results = os.path.join(root, "results")
         response = json.load(open(os.path.join(results, "a-bad.json")))
-        assert response["error"].startswith("ValueError: ")
+        assert response["error"].startswith("ScenarioError: ")
         assert cause in response["error"]
         assert "error" not in json.load(
             open(os.path.join(results, f"{good}.json"))
@@ -348,10 +363,8 @@ class TestDaemon:
         serving."""
         from tests.test_sim_supervisor import AlwaysCrashPolicy
 
-        from repro.sim.fleet import daemon as daemon_module
-
         monkeypatch.setitem(
-            daemon_module.FLEET_POLICIES,
+            scenario_module.POLICIES,
             "crashy",
             lambda: AlwaysCrashPolicy("chip-00"),
         )
@@ -413,6 +426,27 @@ class TestDaemon:
         assert response["cache_hits"] == 0
         assert response["simulated"] == response["jobs"]
 
+    def test_different_policy_knob_misses_the_cache(self, tmp_path):
+        """A request that differs only in a policy knob runs a
+        different policy: every one of its jobs is a cold miss."""
+        root = str(tmp_path / "fleet")
+        with FleetDaemon(root) as daemon:
+            submit_request(root, fleet_request(policies=["hayat"], baseline=None))
+            daemon.serve(drain=True)
+            rid = submit_request(
+                root,
+                fleet_request(
+                    policies=[{"type": "hayat", "comm_weight": 2.0}],
+                    baseline=None,
+                ),
+            )
+            daemon.serve(drain=True)
+            response = json.load(
+                open(os.path.join(root, "results", f"{rid}.json"))
+            )
+        assert response["cache_hits"] == 0
+        assert response["simulated"] == response["jobs"] == 2
+
     def test_status_cold_and_live(self, tmp_path):
         root = str(tmp_path / "fleet")
         cold = fleet_status(root)
@@ -425,43 +459,40 @@ class TestDaemon:
         assert live["requests_done"] == 1
         assert live["aggregates"]["jobs"] == 4
 
-    def test_failed_jobs_are_not_cached(self, tmp_path):
+    def test_failed_jobs_are_not_cached(self, tmp_path, monkeypatch):
         """A job that exhausts retries must stay absent from the store
         so a later request re-attempts it instead of caching failure."""
         from tests.test_sim_supervisor import AlwaysCrashPolicy
 
-        from repro.sim.fleet import daemon as daemon_module
-
         root = str(tmp_path / "fleet")
-        crashing = lambda: AlwaysCrashPolicy("chip-00")  # noqa: E731
-        original = daemon_module.FLEET_POLICIES
-        daemon_module.FLEET_POLICIES = dict(original, crashy=crashing)
-        try:
-            with FleetDaemon(root) as daemon:
-                rid = submit_request(
-                    root,
-                    fleet_request(policies=["crashy"], baseline=None),
-                )
-                daemon.serve(drain=True)
-                response = json.load(
-                    open(os.path.join(root, "results", f"{rid}.json"))
-                )
-                assert len(response["failures"]) == 1
-                assert response["failures"][0]["chip"] == "chip-00"
-                # One chip crashed, one completed: only the success is
-                # stored, and a re-run re-simulates only the failure.
-                assert len(daemon.store) == 1
-                submit_request(
-                    root, fleet_request(policies=["crashy"], baseline=None)
-                )
-                daemon.serve(drain=True)
-                retry = json.load(
-                    open(os.path.join(root, "results", f"{rid}.json"))
-                )
-                assert retry["cache_hits"] == 1
-                assert retry["simulated"] == 1
-        finally:
-            daemon_module.FLEET_POLICIES = original
+        monkeypatch.setitem(
+            scenario_module.POLICIES,
+            "crashy",
+            lambda: AlwaysCrashPolicy("chip-00"),
+        )
+        with FleetDaemon(root) as daemon:
+            rid = submit_request(
+                root,
+                fleet_request(policies=["crashy"], baseline=None),
+            )
+            daemon.serve(drain=True)
+            response = json.load(
+                open(os.path.join(root, "results", f"{rid}.json"))
+            )
+            assert len(response["failures"]) == 1
+            assert response["failures"][0]["chip"] == "chip-00"
+            # One chip crashed, one completed: only the success is
+            # stored, and a re-run re-simulates only the failure.
+            assert len(daemon.store) == 1
+            submit_request(
+                root, fleet_request(policies=["crashy"], baseline=None)
+            )
+            daemon.serve(drain=True)
+            retry = json.load(
+                open(os.path.join(root, "results", f"{rid}.json"))
+            )
+            assert retry["cache_hits"] == 1
+            assert retry["simulated"] == 1
 
 
 class TestDaemonPool:
