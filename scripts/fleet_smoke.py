@@ -8,7 +8,9 @@ temporary fleet directory:
 2. spawn the CLI daemon on a fresh fleet, SIGKILL it mid-request,
 3. restart and drain, then assert the resumed response's aggregates
    are byte-identical to the reference and that a re-submission is
-   answered entirely from the content-addressed store,
+   answered entirely from the content-addressed store, and that the
+   daemon's ``status.json`` aggregates equal a rebuild from the store
+   on disk,
 4. append a synthetic 1000-job block to the store and report the
    peak RSS alongside the store's on-disk size — the O(aggregate)
    memory evidence (results live on disk; the daemon keeps an index
@@ -32,7 +34,12 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from repro.sim.fleet import FleetDaemon, ResultStore, submit_request  # noqa: E402
+from repro.sim.fleet import (  # noqa: E402
+    FleetDaemon,
+    ResultStore,
+    aggregate_store,
+    submit_request,
+)
 
 #: Hayat runs with a knob, so the kill-and-resume and re-submission
 #: checks cover the policy-knob part of every job's cache key.
@@ -56,7 +63,7 @@ def run_reference(base: str) -> tuple[str, dict]:
         return request_id, json.load(handle)
 
 
-def kill_and_resume(base: str, request_id: str) -> tuple[dict, dict]:
+def kill_and_resume(base: str, request_id: str) -> tuple[dict, dict, bool]:
     root = os.path.join(base, "fleet")
     submit_request(root, REQUEST)
     env = dict(os.environ)
@@ -92,7 +99,19 @@ def kill_and_resume(base: str, request_id: str) -> tuple[dict, dict]:
         submit_request(root, REQUEST)
         daemon.serve(drain=True)
     with open(os.path.join(root, "results", f"{request_id}.json")) as handle:
-        return resumed, json.load(handle)
+        cached = json.load(handle)
+    return resumed, cached, status_matches_store(root)
+
+
+def status_matches_store(root: str) -> bool:
+    """Whether ``status.json``'s aggregates equal a from-disk rebuild."""
+    with open(os.path.join(root, "status.json")) as handle:
+        status = json.load(handle)["aggregates"]
+    with ResultStore(os.path.join(root, "store")) as store:
+        rebuilt = aggregate_store(store).to_dict()
+    return json.dumps(status, sort_keys=True) == json.dumps(
+        rebuilt, sort_keys=True
+    )
 
 
 def store_memory_note(base: str) -> dict:
@@ -126,7 +145,7 @@ def main() -> int:
     failures = []
     with tempfile.TemporaryDirectory() as base:
         request_id, reference = run_reference(base)
-        resumed, cached = kill_and_resume(base, request_id)
+        resumed, cached, status_ok = kill_and_resume(base, request_id)
         if json.dumps(resumed["aggregates"], sort_keys=True) != json.dumps(
             reference["aggregates"], sort_keys=True
         ):
@@ -136,11 +155,14 @@ def main() -> int:
                 f"re-submission not fully cached: {cached['cache_hits']} hits "
                 f"of {cached['jobs']} jobs, {cached['simulated']} simulated"
             )
+        if not status_ok:
+            failures.append("status.json aggregates differ from the store")
         note = store_memory_note(base)
         print(f"resume: aggregates byte-identical over {resumed['jobs']} jobs")
         print(
             f"cache: {cached['cache_hits']}/{cached['jobs']} hits on re-submission"
         )
+        print(f"status: aggregates {'match' if status_ok else 'differ from'} the store")
         print(
             f"memory: {note['jobs']} stored jobs -> "
             f"{note['store_bytes']} bytes on disk, "

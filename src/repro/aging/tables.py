@@ -515,10 +515,12 @@ class AgingTable:
         health_b = health if health.shape == temp_b.shape else np.broadcast_to(
             health, temp_b.shape
         )
-        return self._walk_flat(temp_b, duty_b, health_b, epoch_years)
+        it, ft = _axis_weights(self.temp_grid_k, temp_b, self._temp_spans)
+        return self._walk_flat(it, ft, duty_b, health_b, epoch_years)
 
-    def _walk_flat(self, temp_b, duty_b, health_b, epoch_years) -> np.ndarray:
-        """The walk itself on equal-shape arrays, validation done.
+    def _walk_flat(self, it, ft, duty_b, health_b, epoch_years) -> np.ndarray:
+        """The walk itself on equal-shape arrays, validation done and
+        temperature located (``it, ft`` from :func:`_axis_weights`).
 
         The per-element kernel :meth:`next_health` runs after
         broadcasting, and the one the walk engine
@@ -528,7 +530,6 @@ class AgingTable:
         one reduction whose order could depend on batch size), so
         walking any subset returns the same bits as walking the whole.
         """
-        it, ft = _axis_weights(self.temp_grid_k, temp_b, self._temp_spans)
         idx_d, fd = _axis_weights(self.duty_grid, duty_b, self._duty_spans)
         weights = self._corner_weights(ft, fd)
         rows, bases = self._corner_rows(it, idx_d)

@@ -88,37 +88,40 @@ class WalkEngine:
                 idle &= h <= 1.0
                 idle &= np.isfinite(t)
                 n_idle = int(np.count_nonzero(idle))
+            # Temperature is located once, for both subsets: the locate
+            # is elementwise, so a gathered subset keeps its bits.
+            it, ft = _axis_weights(table.temp_grid_k, t, table._temp_spans)
             if n_idle == 0:
-                return table._walk_flat(t, d, h, epoch_years).reshape(shape)
+                return table._walk_flat(it, ft, d, h, epoch_years).reshape(shape)
             obs.inc("aging.walk_idle", n_idle)
             out = h.copy()
             fresh = np.flatnonzero(idle & (h == 1.0))
             if fresh.size:
-                out[fresh] = self._idle_health(t.take(fresh), epoch_years)
+                out[fresh] = self._idle_health(ft.take(fresh), epoch_years)
             if n_idle < t.shape[0]:
                 busy = np.flatnonzero(~idle)
                 out[busy] = table._walk_flat(
-                    t.take(busy), d.take(busy), h.take(busy), epoch_years
+                    it.take(busy), ft.take(busy), d.take(busy), h.take(busy),
+                    epoch_years,
                 )
         return out.reshape(shape)
 
-    def _idle_health(self, t, epoch_years) -> np.ndarray:
-        """Next health of pristine idle elements, bit-identical to the
-        walk.
+    def _idle_health(self, ft, epoch_years) -> np.ndarray:
+        """Next health of pristine idle elements from their temperature
+        weights ``ft``, bit-identical to the walk.
 
         They read the duty-0 forward sum at age ``0.0 + epoch``
-        (derivation in the module doc).  ``fy`` is the very
-        ``_axis_weights`` value the walk locates after its age-0 clamp;
-        the locate is elementwise, so one call on that single age gives
-        the same bits.
+        (derivation in the module doc).  ``fy`` is the very value the
+        walk's ``_axis_weights`` locates after its age-0 clamp, computed
+        here on the one Python scalar with the same IEEE operations:
+        clamp to the grid, right bisection, upper index clamp, then
+        ``(age - grid[i]) / span[i]``.
         """
         table = self.table
-        _, ft = _axis_weights(table.temp_grid_k, t, table._temp_spans)
-        _, fy = _axis_weights(
-            table.age_grid_years, np.array([0.0 + epoch_years]),
-            table._age_spans,
-        )
-        fy = fy[0]
+        grid = table.age_grid_years
+        age = min(max(0.0 + epoch_years, grid[0]), grid[-1])
+        index = min(int(grid.searchsorted(age, side="right")) - 1, len(grid) - 2)
+        fy = (age - grid[index]) / table._age_spans[index]
         omy = 1.0 - fy
         w0 = 1.0 - ft
         s = w0 * omy

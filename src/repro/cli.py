@@ -521,7 +521,11 @@ def _cmd_serve(args) -> int:
         return 0
 
     if args.submit:
-        request_id = submit_request(args.fleet_dir, load_scenario(args.submit))
+        try:
+            request_id = submit_request(args.fleet_dir, load_scenario(args.submit))
+        except ScenarioError as error:
+            print(f"scenario error: {error}")
+            return 2
         print(request_id)
         return 0
 

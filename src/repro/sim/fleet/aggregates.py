@@ -117,37 +117,59 @@ class Histogram:
         self.total += 1
 
     def add_array(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=np.float64)
+        """Fold every finite sample of a ``float64`` array."""
         values = values[np.isfinite(values)]
         if values.size == 0:
             return
-        span = self.hi - self.lo
-        indices = ((values - self.lo) / span * len(self.counts)).astype(int)
-        np.clip(indices, 0, len(self.counts) - 1, out=indices)
-        np.add.at(self.counts, indices, 1)
-        self.total += int(values.size)
+        bins = len(self.counts)
+        scaled = values - self.lo
+        scaled /= self.hi - self.lo
+        scaled *= bins
+        indices = scaled.astype(int)
+        np.maximum(indices, 0, out=indices)
+        np.minimum(indices, bins - 1, out=indices)
+        self.counts += np.bincount(indices, minlength=bins)
+        self.total += values.size
 
     def percentile(self, q: float) -> float | None:
         """The ``q``-th percentile, or ``None`` on an empty histogram."""
+        return self.percentiles((q,))[0]
+
+    def percentiles(self, qs) -> list[float | None]:
+        """The ``q``-th percentile for every ``q`` in ``qs``.
+
+        One cumulative sum and one ``searchsorted`` serve them all.  The
+        owning bin is the first whose cumulative count reaches the
+        target *and* holds a sample; cumulative counts are integers, so
+        reaching ``max(target, 1)`` says both at once.  The
+        interpolation runs on Python scalars: the same IEEE operations
+        as on numpy scalars, without their dispatch cost.
+        """
         if self.total == 0:
-            return None
-        target = q / 100.0 * self.total
-        width = (self.hi - self.lo) / len(self.counts)
-        cumulative = 0
-        for index, count in enumerate(self.counts):
-            if count == 0:
+            return [None] * len(qs)
+        bins = len(self.counts)
+        width = (self.hi - self.lo) / bins
+        targets = [q / 100.0 * self.total for q in qs]
+        cumulative = self.counts.cumsum()
+        indices = cumulative.searchsorted(
+            [max(target, 1) for target in targets], side="left"
+        ).tolist()
+        out = []
+        for target, index in zip(targets, indices):
+            if index == bins:
+                out.append(self.hi)
                 continue
-            if cumulative + count >= target:
-                within = (target - cumulative) / count
-                return self.lo + (index + within) * width
-            cumulative += count
-        return self.hi
+            count = int(self.counts[index])
+            within = (target - (int(cumulative[index]) - count)) / count
+            out.append(self.lo + (index + within) * width)
+        return out
 
     def to_dict(self) -> dict:
         return {
             "count": self.total,
             "percentiles": {
-                f"p{q:g}": self.percentile(q) for q in PERCENTILES
+                f"p{q:g}": value
+                for q, value in zip(PERCENTILES, self.percentiles(PERCENTILES))
             },
         }
 
@@ -178,8 +200,8 @@ class GroupAggregates:
         self.chip_aging_rate.add(scalars.get("chip_aging_rate"))
         self.avg_aging_rate.add(scalars.get("avg_aging_rate"))
         self.mttf_years.add(scalars.get("mttf_years"))
-        health = np.asarray(final_health, dtype=np.float64)
-        self.cores += int(health.size)
+        health = final_health.astype(np.float64)
+        self.cores += health.size
         self.dead_cores += int(np.count_nonzero(health <= DEAD_HEALTH))
         self.final_health.add_array(health)
 

@@ -76,11 +76,14 @@ _STATUS = "status.json"
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:
-    """Publish ``payload`` at ``path`` atomically (tmp + rename)."""
+    """Publish ``payload`` at ``path`` atomically (tmp + rename).
+
+    One compact line: ``json.dumps`` without ``indent`` runs the C
+    encoder, where ``indent`` falls back to the pure-Python one.
+    """
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(payload, sort_keys=True) + "\n")
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
@@ -184,6 +187,12 @@ class FleetDaemon:
         self._stop = False
         self._table = None
         self._populations: dict[tuple[int, int], object] = {}
+        # Keyed on the config's repr, exact for its scalar fields: 2
+        # and 2.0 compare equal but digest differently.  The table and
+        # the populations never change while the daemon runs.
+        self._digests: dict[tuple[str, int, int], str] = {}
+        #: ``self.aggregates.to_dict()``, rendered once per fold state.
+        self._status_aggregates: dict | None = None
         self._write_status()
 
     # ------------------------------------------------------------------
@@ -291,6 +300,18 @@ class FleetDaemon:
             self._populations[key] = generate_population(chips, seed=seed)
         return self._populations[key]
 
+    def _digest(self, config, request: Scenario) -> str:
+        """:func:`campaign_digest` of one floor, memoized per
+        ``(config, chips, population_seed)``."""
+        key = (repr(config), request.chips, request.population_seed)
+        digest = self._digests.get(key)
+        if digest is None:
+            population = self._population(request.chips, request.population_seed)
+            digest = self._digests[key] = campaign_digest(
+                config, population, self._table
+            )
+        return digest
+
     def _run_request(self, request: Scenario, progress=None) -> dict:
         """Run one request: shard per floor, cache-check, simulate, fold.
 
@@ -316,7 +337,7 @@ class FleetDaemon:
         hits = misses = 0
         try:
             for config in request.configs:
-                digest = campaign_digest(config, population, self._table)
+                digest = self._digest(config, request)
                 # The MTTF requirement shapes the stored scalars and the
                 # unit size can shape a chip's result, so a request that
                 # differs in either must miss the cache, not read stale
@@ -398,6 +419,7 @@ class FleetDaemon:
                 json.loads(json.dumps(record)),
                 self.store.block(record, "final_health"),
             )
+            self._status_aggregates = None
             self._jobs_executed += 1
 
         _, failures = run_supervised_jobs(
@@ -420,7 +442,11 @@ class FleetDaemon:
     # status
     # ------------------------------------------------------------------
     def _write_status(self) -> None:
+        """Publish ``status.json``; the aggregates are re-rendered only
+        after a fold (a cached request folds nothing)."""
         registry = get_registry()
+        if self._status_aggregates is None:
+            self._status_aggregates = self.aggregates.to_dict()
         queued = len(self._queued())
         rate = self._jobs_executed / self._busy_s if self._busy_s > 0 else 0.0
         registry.gauge("fleet.queue_depth", queued)
@@ -438,7 +464,7 @@ class FleetDaemon:
                 "jobs_failed": self.jobs_failed,
                 "jobs_per_s": rate,
                 "workers": self.workers,
-                "aggregates": self.aggregates.to_dict(),
+                "aggregates": self._status_aggregates,
             },
         )
 

@@ -20,6 +20,7 @@ silently run the default experiment.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
 from dataclasses import dataclass, fields
@@ -43,6 +44,14 @@ POLICIES = {
     "contiguous": ContiguousManager,
     "coolest": CoolestFirstManager,
     "random": RandomManager,
+}
+
+#: JSON types a policy knob may take, by the type of the constructor
+#: parameter's default; knobs with other defaults are not checked here.
+_KNOB_TYPES = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an int"),
+    float: ((int, float), "a number"),
 }
 
 #: ``SimulationConfig`` fields a document may set at top level.
@@ -205,6 +214,7 @@ def _parse_policies(specs) -> list:
             raise ScenarioError(
                 f"unknown policy {type_name!r}; choose from {sorted(POLICIES)}"
             )
+        _check_knob_types(type_name, knobs)
         try:
             policies.append(POLICIES[type_name](**knobs))
         except (TypeError, ValueError) as error:
@@ -215,6 +225,30 @@ def _parse_policies(specs) -> list:
     if len(set(names)) != len(names):
         raise ScenarioError(f"duplicate policy names {names}")
     return policies
+
+
+def _check_knob_types(type_name: str, knobs: dict) -> None:
+    """Refuse a knob whose JSON type does not match its default's.
+
+    The constructors coerce what they get: ``bool("false")`` is true,
+    so ``{"type": "vaa", "boost": "false"}`` would run with boost on.
+    An unknown knob is left to the constructor, which names it.
+    """
+    if not knobs:
+        return
+    parameters = inspect.signature(POLICIES[type_name]).parameters
+    for name, value in knobs.items():
+        parameter = parameters.get(name)
+        if parameter is None or type(parameter.default) not in _KNOB_TYPES:
+            continue
+        types, kind = _KNOB_TYPES[type(parameter.default)]
+        if not isinstance(value, types) or (
+            isinstance(value, bool) and bool not in types
+        ):
+            raise ScenarioError(
+                f"policy {type_name!r} knob {name!r} must be {kind}, "
+                f"got {value!r}"
+            )
 
 
 def _is_number(value) -> bool:

@@ -280,7 +280,8 @@ class TestBracketedInverse:
         ages = self._reference_ages(table, t, d, h)
         want = np.minimum(table.health(t, d, ages + epoch), h)
         _same_bits(table.equivalent_age(t, d, h), ages)
-        _same_bits(table._walk_flat(t, d, h, epoch), want)
+        it, ft = _axis_weights(table.temp_grid_k, t, table._temp_spans)
+        _same_bits(table._walk_flat(it, ft, d, h, epoch), want)
         _same_bits(WalkEngine(table).next_health(t, d, h, epoch), want)
 
     @staticmethod

@@ -123,6 +123,16 @@ class TestScenarioCommand:
         assert main(["run-scenario", str(path)]) == 2
         assert "must be a JSON object" in capsys.readouterr().out
 
+    def test_bad_fleet_submission_exits_2(self, capsys, tmp_path):
+        """``serve --submit`` refuses a malformed document the way
+        ``run-scenario`` does, and queues nothing."""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"chips": 0}))
+        fleet_dir = tmp_path / "fleet"
+        assert main(["serve", "--fleet-dir", str(fleet_dir), "--submit", str(path)]) == 2
+        assert "scenario error: chips" in capsys.readouterr().out
+        assert not (fleet_dir / "spool").exists()
+
 
 class TestSweepCommand:
     def test_small_sweep(self, capsys):

@@ -28,11 +28,31 @@ from repro.sim.fleet import (
     result_scalars,
     submit_request,
 )
-from repro.sim.fleet.aggregates import Histogram, RunningStat
+from repro.sim.checkpoint import campaign_digest
+from repro.sim.fleet import daemon as daemon_module
+from repro.sim.fleet.aggregates import PERCENTILES, Histogram, RunningStat
 from repro.baselines import VAAManager
 from repro.core import HayatManager
 from repro.variation import generate_population
 from tests.test_sim_supervisor import tiny_config
+
+
+def loop_percentile(histogram: Histogram, q: float):
+    """The per-bin percentile loop the vectorized one replaced: the
+    oracle it must match bit for bit."""
+    if histogram.total == 0:
+        return None
+    target = q / 100.0 * histogram.total
+    width = (histogram.hi - histogram.lo) / len(histogram.counts)
+    cumulative = 0
+    for index, count in enumerate(histogram.counts):
+        if count == 0:
+            continue
+        if cumulative + count >= target:
+            within = (target - cumulative) / count
+            return histogram.lo + (index + within) * width
+        cumulative += count
+    return histogram.hi
 
 
 def fleet_request(**overrides) -> dict:
@@ -167,6 +187,48 @@ class TestAggregates:
             )
         assert Histogram(0.0, 1.0).percentile(50.0) is None
 
+    def test_percentiles_match_the_loop_bit_for_bit(self):
+        rng = np.random.default_rng(2015)
+        bins = 64
+        layouts = [np.zeros(bins, dtype=np.int64)]
+        for total in (1, 2, 3, 7, 10, 100, 1_000, 10_000, 100_000):
+            for where in (0, bins - 1, int(rng.integers(bins))):
+                one = np.zeros(bins, dtype=np.int64)
+                one[where] = total
+                layouts.append(one)
+            ends = np.zeros(bins, dtype=np.int64)
+            ends[0], ends[-1] = total // 2, total - total // 2
+            layouts.append(ends)
+            sparse = np.zeros(bins, dtype=np.int64)
+            occupied = rng.choice(bins, size=5, replace=False)
+            sparse[occupied] = rng.multinomial(total, np.full(5, 0.2))
+            layouts.append(sparse)
+            layouts.append(rng.multinomial(total, np.full(bins, 1.0 / bins)))
+        qs = (*PERCENTILES, 0.0, 0.01, 33.3, 100.0, 101.0)
+        for counts in layouts:
+            histogram = Histogram(0.0, 50.0, bins=bins)
+            histogram.counts[:] = counts
+            histogram.total = int(counts.sum())
+            got = histogram.percentiles(qs)
+            for q, value in zip(qs, got):
+                want = loop_percentile(histogram, q)
+                if want is None:
+                    assert value is None
+                    continue
+                assert float(value).hex() == float(want).hex(), (counts, q)
+                assert histogram.percentile(q) == value
+
+    def test_add_array_counts_like_scalar_adds(self):
+        values = np.array(
+            [-1.0, 0.0, 0.25, 0.5, 0.999, 1.0, 2.0, np.nan, np.inf, -np.inf]
+        )
+        vectorized, scalar = Histogram(0.0, 1.0, bins=8), Histogram(0.0, 1.0, bins=8)
+        vectorized.add_array(values)
+        for value in values:
+            scalar.add(value)
+        assert vectorized.total == scalar.total == 7
+        np.testing.assert_array_equal(vectorized.counts, scalar.counts)
+
     def test_store_and_campaign_paths_agree_bit_for_bit(
         self, lifetime_results, tmp_path
     ):
@@ -219,6 +281,10 @@ BAD_DOCUMENTS = [
     ({"policies": []}, "at least one policy"),
     ({"policies": [{"comm_weight": 2.0}]}, "'type'"),
     ({"policies": [{"type": "hayat", "nope": 1}]}, "bad arguments"),
+    ({"policies": [{"type": "vaa", "boost": "false"}]}, "knob 'boost'"),
+    ({"policies": [{"type": "hayat", "comm_weight": "2"}]}, "knob 'comm_weight'"),
+    ({"policies": [{"type": "hayat", "comm_weight": True}]}, "knob 'comm_weight'"),
+    ({"policies": [{"type": "vaa", "neighborhood_radius": 2.0}]}, "knob 'neighborhood_radius'"),
     (
         {"policies": ["hayat", {"type": "hayat", "comm_weight": 2.0}]},
         "duplicate policy names",
@@ -446,6 +512,97 @@ class TestDaemon:
             )
         assert response["cache_hits"] == 0
         assert response["simulated"] == response["jobs"] == 2
+
+    def test_status_aggregates_track_the_store(self, tmp_path):
+        """``status.json`` reuses its rendered aggregates until a fold:
+        after a cold request, a cached repeat and a second cold request
+        it still equals a rebuild from the store."""
+        root = str(tmp_path / "fleet")
+
+        def status_matches_store(daemon) -> dict:
+            with open(os.path.join(root, "status.json")) as handle:
+                status = json.load(handle)["aggregates"]
+            rebuilt = aggregate_store(daemon.store).to_dict()
+            assert json.dumps(status, sort_keys=True) == json.dumps(
+                rebuilt, sort_keys=True
+            )
+            return status
+
+        with FleetDaemon(root) as daemon:
+            submit_request(root, fleet_request())
+            daemon.serve(drain=True)
+            first = status_matches_store(daemon)
+            submit_request(root, fleet_request())
+            daemon.serve(drain=True)
+            assert status_matches_store(daemon) == first
+            submit_request(root, fleet_request(seed=4))
+            daemon.serve(drain=True)
+            assert status_matches_store(daemon)["jobs"] == 2 * first["jobs"]
+
+    def test_memoized_digest_equals_a_fresh_one(self, tmp_path):
+        """The per-floor digest is a store key: memoizing it must not
+        change it, and configs that are equal but typed differently
+        (``2`` vs ``2.0`` years) keep their distinct digests."""
+        root = str(tmp_path / "fleet")
+        with FleetDaemon(root) as daemon:
+            submit_request(root, fleet_request())
+            daemon.serve(drain=True)
+            for years in (2, 2.0):
+                request = Scenario.from_dict(
+                    fleet_request(years=years, dark_fractions=[0.25, 0.5])
+                )
+                population = generate_population(
+                    request.chips, seed=request.population_seed
+                )
+                for config in request.configs:
+                    fresh = campaign_digest(config, population, daemon._table)
+                    assert daemon._digest(config, request) == fresh
+                    assert daemon._digest(config, request) == fresh
+            assert len(daemon._digests) == 5
+
+    def test_json_files_are_compact_and_published_by_rename(
+        self, tmp_path, monkeypatch
+    ):
+        """Spool, response and status files hold one sorted-key JSON
+        line that parses back to the written payload, and each appears
+        only through ``os.replace`` of a fsync'd ``.tmp`` file."""
+        root = str(tmp_path / "fleet")
+        writes = []
+        replaced = []
+        synced = []
+        real_write, real_replace, real_fsync = (
+            daemon_module._atomic_write_json, os.replace, os.fsync
+        )
+
+        def recording_replace(src, dst):
+            replaced.append((os.fspath(src), os.fspath(dst)))
+            real_replace(src, dst)
+
+        def recording_fsync(fd):
+            synced.append(fd)
+            real_fsync(fd)
+
+        def recording_write(path, payload):
+            synced_before = len(synced)
+            real_write(path, payload)
+            assert len(synced) == synced_before + 1
+            assert replaced[-1] == (path + ".tmp", path)
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+            assert text == json.dumps(payload, sort_keys=True) + "\n"
+            assert json.loads(text) == payload
+            writes.append(os.path.relpath(path, root))
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(daemon_module, "_atomic_write_json", recording_write)
+        with FleetDaemon(root) as daemon:
+            request_id = submit_request(root, fleet_request())
+            daemon.serve(drain=True)
+        assert os.path.join("spool", f"{request_id}.json") in writes
+        assert os.path.join("results", f"{request_id}.json") in writes
+        assert "status.json" in writes
+        assert not [name for name in os.listdir(root) if name.endswith(".tmp")]
 
     def test_status_cold_and_live(self, tmp_path):
         root = str(tmp_path / "fleet")
