@@ -10,7 +10,8 @@ temporary fleet directory:
    are byte-identical to the reference and that a re-submission is
    answered entirely from the content-addressed store, and that the
    daemon's ``status.json`` aggregates equal a rebuild from the store
-   on disk,
+   on disk; a second re-submission must come from the daemon's answer
+   memo, with aggregates equal to a from-disk rebuild of its keys,
 4. append a synthetic 1000-job block to the store and report the
    peak RSS alongside the store's on-disk size — the O(aggregate)
    memory evidence (results live on disk; the daemon keeps an index
@@ -63,7 +64,9 @@ def run_reference(base: str) -> tuple[str, dict]:
         return request_id, json.load(handle)
 
 
-def kill_and_resume(base: str, request_id: str) -> tuple[dict, dict, bool]:
+def kill_and_resume(
+    base: str, request_id: str
+) -> tuple[dict, dict, bool, str, bool]:
     root = os.path.join(base, "fleet")
     submit_request(root, REQUEST)
     env = dict(os.environ)
@@ -94,13 +97,27 @@ def kill_and_resume(base: str, request_id: str) -> tuple[dict, dict, bool]:
     with open(os.path.join(root, "results", f"{request_id}.json")) as handle:
         resumed = json.load(handle)
 
-    # Re-submission: answered entirely from the store.
+    # Re-submission: answered entirely from the store, then repeated
+    # from the memo.
     with FleetDaemon(root) as daemon:
         submit_request(root, REQUEST)
         daemon.serve(drain=True)
+        with open(os.path.join(root, "results", f"{request_id}.json")) as handle:
+            cached = json.load(handle)
+        submit_request(root, REQUEST)
+        daemon.serve(drain=True)
+        answered_from = daemon.last_request["answered_from"]
+        ((keys, _),) = daemon._answers.values()
     with open(os.path.join(root, "results", f"{request_id}.json")) as handle:
-        cached = json.load(handle)
-    return resumed, cached, status_matches_store(root)
+        repeat = json.load(handle)
+    with ResultStore(os.path.join(root, "store")) as store:
+        rebuilt = aggregate_store(store, keys).to_dict(
+            baseline=REQUEST["baseline"]
+        )
+    memo_ok = json.dumps(repeat["aggregates"], sort_keys=True) == json.dumps(
+        rebuilt, sort_keys=True
+    )
+    return resumed, cached, status_matches_store(root), answered_from, memo_ok
 
 
 def status_matches_store(root: str) -> bool:
@@ -145,7 +162,9 @@ def main() -> int:
     failures = []
     with tempfile.TemporaryDirectory() as base:
         request_id, reference = run_reference(base)
-        resumed, cached, status_ok = kill_and_resume(base, request_id)
+        resumed, cached, status_ok, answered_from, memo_ok = kill_and_resume(
+            base, request_id
+        )
         if json.dumps(resumed["aggregates"], sort_keys=True) != json.dumps(
             reference["aggregates"], sort_keys=True
         ):
@@ -157,12 +176,20 @@ def main() -> int:
             )
         if not status_ok:
             failures.append("status.json aggregates differ from the store")
+        if answered_from != "memo":
+            failures.append(f"second re-submission answered from {answered_from}")
+        if not memo_ok:
+            failures.append("memo aggregates differ from a store rebuild")
         note = store_memory_note(base)
         print(f"resume: aggregates byte-identical over {resumed['jobs']} jobs")
         print(
             f"cache: {cached['cache_hits']}/{cached['jobs']} hits on re-submission"
         )
         print(f"status: aggregates {'match' if status_ok else 'differ from'} the store")
+        print(
+            f"memo: repeat answered from {answered_from}, aggregates "
+            f"{'match' if memo_ok else 'differ from'} a store rebuild"
+        )
         print(
             f"memory: {note['jobs']} stored jobs -> "
             f"{note['store_bytes']} bytes on disk, "

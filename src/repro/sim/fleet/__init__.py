@@ -20,7 +20,12 @@ from repro.sim.fleet.daemon import (
     fleet_status,
     submit_request,
 )
-from repro.sim.fleet.store import ResultStore, result_blocks, result_scalars
+from repro.sim.fleet.store import (
+    ResultStore,
+    ShortBlockError,
+    result_blocks,
+    result_scalars,
+)
 
 __all__ = [
     "FleetAggregates",
@@ -29,6 +34,7 @@ __all__ = [
     "Histogram",
     "ResultStore",
     "RunningStat",
+    "ShortBlockError",
     "aggregate_campaign",
     "aggregate_store",
     "fleet_status",

@@ -31,21 +31,33 @@ daemon turns the one-shot campaign machinery into a service:
   requirement and the unit size).  A job already in the store is
   answered from it without simulating; re-submitting a completed
   request touches zero workers (``fleet.cache_hits`` counts the hits).
+* **Answer memo** — stored records are immutable, so a fully cached
+  request's aggregates are a pure function of its job keys.  The
+  daemon keeps the keys and rendered aggregates of its last
+  :data:`ANSWER_MEMO_SIZE` failure-free answers, keyed by the
+  document's content digest (``request_id`` aside) and the effective
+  MTTF requirement.  A repeat whose keys are all still in the store is
+  answered from the memo: no re-keying, no re-fold
+  (``fleet.answer_memo_hits``); its hits count exactly like a store
+  answer's.
 * **Crash-safe resume** — SIGKILL the daemon mid-request and restart
   it: the store's scan recovers every completed job (at most the one
   torn final record re-runs), the pending request is still in the
   spool, and the re-run answers the already-stored jobs from cache.
-  Response aggregates are computed by folding store records in
-  canonical submission-key order — never completion order.  The
-  re-run simulates only the missing jobs, in smaller batches, so a
-  resumed request's ``aggregates`` equal an uninterrupted run's bit for
-  bit only where batching leaves results alone (see ``batch_size`` in
-  :func:`repro.sim.campaign.run_campaign`).
+  A first answer (and any after a restart or a memo eviction)
+  computes its aggregates by folding store records in canonical
+  submission-key order — never completion order; a memo answer
+  repeats those bytes.  The re-run simulates only the missing jobs,
+  in smaller batches, so a resumed request's ``aggregates`` equal an
+  uninterrupted run's bit for bit only where batching leaves results
+  alone (see ``batch_size`` in :func:`repro.sim.campaign.run_campaign`).
 
 Responses deliberately carry no timestamps (timing lives in
 ``status.json``): only the execution stats (``cache_hits``,
 ``simulated``) distinguish two runs of the same request, and the
-scientific payload is byte-equal.
+scientific payload is byte-equal.  ``status.json`` also describes the
+last request answered: its counts, where its answer came from
+(``memo``, ``store`` or ``simulated``) and its wall time.
 """
 
 from __future__ import annotations
@@ -53,14 +65,15 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import OrderedDict
 
 from repro.aging.tables import default_aging_table
 from repro.obs import get_registry
 from repro.sim.campaign import build_shared
 from repro.sim.checkpoint import campaign_digest, job_keys
 from repro.sim.fleet.aggregates import FleetAggregates, aggregate_store
-from repro.sim.fleet.store import ResultStore
-from repro.sim.scenario import Scenario, load_scenario
+from repro.sim.fleet.store import ResultStore, ShortBlockError
+from repro.sim.scenario import Scenario, load_scenario, request_digest
 from repro.sim.supervisor import (
     CampaignJobError,
     WorkerPoolHost,
@@ -73,6 +86,10 @@ _RESULTS = "results"
 _DONE = "done"
 _STORE = "store"
 _STATUS = "status.json"
+
+#: Answered requests the daemon remembers, least recently used evicted
+#: first; an evicted request is answered from the store again.
+ANSWER_MEMO_SIZE = 128
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:
@@ -193,6 +210,11 @@ class FleetDaemon:
         self._digests: dict[tuple[str, int, int], str] = {}
         #: ``self.aggregates.to_dict()``, rendered once per fold state.
         self._status_aggregates: dict | None = None
+        #: ``(request digest, requirement) -> (job keys, aggregates)``
+        #: of failure-free answers, least recently used first.
+        self._answers: OrderedDict = OrderedDict()
+        #: The last request answered without error, for ``status.json``.
+        self.last_request: dict | None = None
         self._write_status()
 
     # ------------------------------------------------------------------
@@ -256,20 +278,25 @@ class FleetDaemon:
                 break
             path = os.path.join(self.root, _SPOOL, name)
             request_id = os.path.splitext(name)[0]
+            received = time.monotonic()
+            answered_from = None
             # A bad or failing request is answered and retired like any
             # other, so it can neither stop the serve loop nor stay in
             # the spool to fail again on every restart.
             try:
-                request = Scenario.from_dict(load_scenario(path))
+                document = load_scenario(path)
+                request = Scenario.from_dict(document)
             except (ValueError, OSError) as error:
                 response = {"error": f"{type(error).__name__}: {error}"}
             else:
                 request_id = request.request_id
                 started = time.monotonic()
                 try:
-                    response = self._run_request(request, progress=progress)
-                except CampaignJobError as error:
-                    response = {"error": f"CampaignJobError: {error}"}
+                    response, answered_from = self._run_request(
+                        request, request_digest(document), progress=progress
+                    )
+                except (CampaignJobError, ShortBlockError) as error:
+                    response = {"error": f"{type(error).__name__}: {error}"}
                 self._busy_s += time.monotonic() - started
             if "error" in response:
                 self.requests_failed += 1
@@ -277,6 +304,15 @@ class FleetDaemon:
                 self.requests_done += 1
             self._respond(request_id, response)
             self._retire(path, name)
+            if "error" not in response:
+                self.last_request = {
+                    "request_id": request_id,
+                    "jobs": response["jobs"],
+                    "cache_hits": response["cache_hits"],
+                    "simulated": response["simulated"],
+                    "answered_from": answered_from,
+                    "ms": round(1e3 * (time.monotonic() - received), 3),
+                }
             handled += 1
             self._write_status()
         if handled == 0:
@@ -312,24 +348,49 @@ class FleetDaemon:
             )
         return digest
 
-    def _run_request(self, request: Scenario, progress=None) -> dict:
-        """Run one request: shard per floor, cache-check, simulate, fold.
-
-        Jobs are keyed before anything runs; keys already in the store
-        are cache hits and never dispatch.  The response's aggregates
-        fold the stored records in this canonical key order, so two
-        runs of the same request — including an interrupted-then-
-        resumed one — report byte-identical aggregates.
-        """
+    def _count_jobs(self, hits: int, misses: int, failed: int) -> None:
         registry = get_registry()
-        if self._table is None:
-            self._table = default_aging_table()
-        population = self._population(request.chips, request.population_seed)
+        registry.inc("fleet.cache_hits", hits)
+        registry.inc("fleet.cache_misses", misses)
+        self.cache_hits += hits
+        self.cache_misses += misses
+        self.jobs_failed += failed
+
+    def _run_request(
+        self, request: Scenario, document_digest: str, progress=None
+    ) -> tuple[dict, str]:
+        """Answer one request; returns the response and where it came
+        from (``memo``, ``store`` or ``simulated``).
+
+        A repeat of a remembered failure-free answer whose job keys are
+        all still stored is answered from the memo.  Otherwise the
+        request is sharded per floor, cache-checked, simulated and
+        folded: jobs are keyed before anything runs; keys already in
+        the store are cache hits and never dispatch.  The response's
+        aggregates fold the stored records in this canonical key order,
+        so two runs of the same request — including an interrupted-
+        then-resumed one — report byte-identical aggregates.
+        """
         requirement = (
             self.requirement_ghz
             if self.requirement_ghz is not None
             else request.requirement_ghz
         )
+        memo_key = (document_digest, requirement)
+        answer = self._answers.get(memo_key)
+        if answer is not None and all(key in self.store for key in answer[0]):
+            self._answers.move_to_end(memo_key)
+            keys, aggregates = answer
+            get_registry().inc("fleet.answer_memo_hits")
+            self._count_jobs(len(keys), 0, 0)
+            response = self._response(
+                request, len(keys), 0, [], requirement, aggregates
+            )
+            return response, "memo"
+
+        if self._table is None:
+            self._table = default_aging_table()
+        population = self._population(request.chips, request.population_seed)
         jobs = [(policy, chip) for policy in request.policies for chip in population]
 
         all_keys: list[str] = []
@@ -365,14 +426,25 @@ class FleetDaemon:
             raise
         finally:
             # Also counted when a fail-fast job aborts the request.
-            registry.inc("fleet.cache_hits", hits)
-            registry.inc("fleet.cache_misses", misses)
-            self.cache_hits += hits
-            self.cache_misses += misses
-            self.jobs_failed += len(failures)
+            self._count_jobs(hits, misses, len(failures))
 
-        aggregates = aggregate_store(self.store, keys=all_keys)
-        response = {
+        aggregates = aggregate_store(self.store, keys=all_keys).to_dict(
+            baseline=request.baseline
+        )
+        if not failures:
+            self._answers[memo_key] = (tuple(all_keys), aggregates)
+            if len(self._answers) > ANSWER_MEMO_SIZE:
+                self._answers.popitem(last=False)
+        response = self._response(
+            request, hits, misses, failures, requirement, aggregates
+        )
+        return response, "simulated" if misses else "store"
+
+    @staticmethod
+    def _response(
+        request: Scenario, hits, misses, failures, requirement, aggregates
+    ) -> dict:
+        return {
             "request_id": request.request_id,
             "jobs": request.job_count,
             "cache_hits": hits,
@@ -389,9 +461,8 @@ class FleetDaemon:
                 for f in failures
             ],
             "requirement_ghz": requirement,
-            "aggregates": aggregates.to_dict(baseline=request.baseline),
+            "aggregates": aggregates,
         }
-        return response
 
     def _run_floor(
         self, config, floor_jobs, request, digest, requirement, progress
@@ -465,6 +536,7 @@ class FleetDaemon:
                 "jobs_per_s": rate,
                 "workers": self.workers,
                 "aggregates": self._status_aggregates,
+                "last_request": self.last_request,
             },
         )
 

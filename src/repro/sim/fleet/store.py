@@ -60,6 +60,26 @@ STORE_VERSION = 2
 BLOCK_NAMES = ("avg_fmax", "final_health")
 
 
+class ShortBlockError(ValueError):
+    """``blocks.bin`` ends before a block its scalar line points at.
+
+    Blocks are written before the line that references them, so a
+    short read means the blocks file was truncated or replaced after
+    the fact; answering from the partial block would silently corrupt
+    the fold (``cores``, ``dead_cores``, the health histogram).
+    """
+
+    def __init__(self, path: str, offset: int, expected: int, actual: int):
+        super().__init__(
+            f"{path}: block at byte {offset} is short: expected "
+            f"{expected} bytes, read {actual}"
+        )
+        self.path = path
+        self.offset = offset
+        self.expected = expected
+        self.actual = actual
+
+
 def _json_safe(value: float) -> float | None:
     """``None`` for non-finite floats (strict-JSON friendly)."""
     return None if (value is None or not math.isfinite(value)) else float(value)
@@ -200,7 +220,11 @@ class ResultStore:
         return json.loads(self._read_handle.read(length))
 
     def block(self, record: dict, name: str) -> np.ndarray:
-        """One trajectory block of ``record`` as a ``float32`` array."""
+        """One trajectory block of ``record`` as a ``float32`` array.
+
+        Raises :class:`ShortBlockError` when the blocks file holds fewer
+        bytes than the record says.
+        """
         offset, count = record["blocks"][name]
         if count == 0:
             return np.empty(0, dtype=np.float32)
@@ -208,6 +232,8 @@ class ResultStore:
             self._blocks_handle = open(self.blocks_path, "rb")
         self._blocks_handle.seek(offset)
         data = self._blocks_handle.read(4 * count)
+        if len(data) != 4 * count:
+            raise ShortBlockError(self.blocks_path, offset, 4 * count, len(data))
         return np.frombuffer(data, dtype=np.float32)
 
     def records(self):

@@ -21,6 +21,7 @@ from repro.sim import scenario as scenario_module
 from repro.sim.fleet import (
     FleetDaemon,
     ResultStore,
+    ShortBlockError,
     aggregate_campaign,
     aggregate_store,
     fleet_status,
@@ -130,6 +131,26 @@ class TestResultStore:
                     assert len(store) == 1
                     assert store.skipped_lines == 1
         assert registry.counter("fleet.store_skipped_lines") == 1
+
+    def test_short_block_read_raises(self, lifetime_results, tmp_path):
+        """A blocks file shorter than a record says fails loudly, naming
+        the offset and both byte counts, instead of returning a short
+        health map."""
+        result = lifetime_results.results["hayat"][0]
+        directory = str(tmp_path / "store")
+        with ResultStore(directory) as store:
+            record = store.append("a", result, requirement_ghz=1.0)
+        offset, count = record["blocks"]["final_health"]
+        blocks = os.path.join(directory, "blocks.bin")
+        os.truncate(blocks, os.path.getsize(blocks) - 16)
+        with ResultStore(directory) as store:
+            with pytest.raises(ShortBlockError) as caught:
+                store.block(store.record("a"), "final_health")
+        error = caught.value
+        assert (error.offset, error.expected, error.actual) == (
+            offset, 4 * count, 4 * count - 16
+        )
+        assert f"byte {offset}" in str(error)
 
     def test_duplicate_key_keeps_last_record(self, lifetime_results, tmp_path):
         first = lifetime_results.results["hayat"][0]
@@ -462,6 +483,35 @@ class TestDaemon:
             open(os.path.join(results, f"{good}.json"))
         )
 
+    def test_short_block_is_answered_and_serving_continues(self, tmp_path):
+        """A store read that finds a truncated block answers that
+        request with an error and retires it; the next request runs."""
+        root = str(tmp_path / "fleet")
+        with FleetDaemon(root) as daemon:
+            submit_request(root, fleet_request())
+            daemon.serve(drain=True)
+            blocks = os.path.join(root, "store", "blocks.bin")
+            os.truncate(blocks, os.path.getsize(blocks) - 16)
+            # Drop the append handle, whose offset predates the cut.
+            daemon.store.close()
+            # Another baseline: the same stored jobs, not the memo.
+            short = submit_request(
+                root, fleet_request(baseline="hayat", request_id="a-short")
+            )
+            good = submit_request(
+                root, fleet_request(policies=["vaa"], baseline=None, chips=1, seed=9)
+            )
+            assert daemon.serve(drain=True) == 2
+            assert (daemon.requests_failed, daemon.requests_done) == (1, 2)
+            assert not os.listdir(os.path.join(root, "spool"))
+        results = os.path.join(root, "results")
+        error = json.load(open(os.path.join(results, f"{short}.json")))["error"]
+        assert error.startswith("ShortBlockError: ")
+        assert "read" in error
+        assert "error" not in json.load(
+            open(os.path.join(results, f"{good}.json"))
+        )
+
     def test_different_requirement_misses_the_cache(self, tmp_path):
         """The MTTF requirement shapes the stored scalars, so it must be
         part of the job identity — never answered by a stale record."""
@@ -650,6 +700,146 @@ class TestDaemon:
             )
             assert retry["cache_hits"] == 1
             assert retry["simulated"] == 1
+
+
+def serve_one(root: str, daemon: FleetDaemon, document: dict) -> tuple[bytes, dict]:
+    """Submit and answer one request: its response file's bytes and
+    the ``last_request`` entry of ``status.json``."""
+    request_id = submit_request(root, document)
+    assert daemon.serve(drain=True) == 1
+    with open(os.path.join(root, "results", f"{request_id}.json"), "rb") as handle:
+        raw = handle.read()
+    return raw, fleet_status(root)["last_request"]
+
+
+class TestAnswerMemo:
+    """A repeat of a failure-free answer is served from the daemon's
+    memo, with the same bytes a store answer would give."""
+
+    def test_memo_answer_equals_a_store_answer_and_a_rebuild(self, tmp_path):
+        root = str(tmp_path / "fleet")
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            with FleetDaemon(root) as daemon:
+                _, cold = serve_one(root, daemon, fleet_request())
+                memo, last = serve_one(root, daemon, fleet_request())
+                ((keys, _),) = daemon._answers.values()
+        assert cold["answered_from"] == "simulated"
+        assert last["answered_from"] == "memo"
+        assert registry.counter("fleet.answer_memo_hits") == 1
+        # A restarted daemon has an empty memo: it folds the store.
+        with FleetDaemon(root) as restarted:
+            stored, last = serve_one(root, restarted, fleet_request())
+        assert last["answered_from"] == "store"
+        assert memo == stored
+        with ResultStore(os.path.join(root, "store")) as store:
+            assert sorted(keys) == sorted(store.keys())
+            rebuilt = aggregate_store(store, keys).to_dict(baseline="vaa")
+        assert json.dumps(json.loads(memo)["aggregates"], sort_keys=True) == (
+            json.dumps(rebuilt, sort_keys=True)
+        )
+
+    def test_new_request_id_hits_the_memo(self, tmp_path):
+        root = str(tmp_path / "fleet")
+        with FleetDaemon(root) as daemon:
+            first, _ = serve_one(root, daemon, fleet_request())
+            renamed, last = serve_one(
+                root, daemon, fleet_request(request_id="renamed")
+            )
+        assert last["answered_from"] == "memo"
+        assert last["request_id"] == "renamed"
+        first, renamed = json.loads(first), json.loads(renamed)
+        assert renamed["request_id"] == "renamed"
+        assert renamed["aggregates"] == first["aggregates"]
+
+    def test_other_baseline_or_requirement_misses_the_memo(self, tmp_path):
+        root = str(tmp_path / "fleet")
+        with FleetDaemon(root) as daemon:
+            serve_one(root, daemon, fleet_request())
+            _, last = serve_one(root, daemon, fleet_request(baseline="hayat"))
+            assert last["answered_from"] == "store"
+            daemon.requirement_ghz = 2.5
+            raw, last = serve_one(root, daemon, fleet_request())
+            assert last["answered_from"] == "simulated"
+            assert json.loads(raw)["requirement_ghz"] == 2.5
+            _, last = serve_one(root, daemon, fleet_request())
+            assert last["answered_from"] == "memo"
+            daemon.requirement_ghz = None
+            _, last = serve_one(root, daemon, fleet_request())
+            assert last["answered_from"] == "memo"
+
+    def test_partial_answer_is_never_memoized(self, tmp_path, monkeypatch):
+        from tests.test_sim_supervisor import AlwaysCrashPolicy
+
+        monkeypatch.setitem(
+            scenario_module.POLICIES,
+            "crashy",
+            lambda: AlwaysCrashPolicy("chip-00"),
+        )
+        root = str(tmp_path / "fleet")
+        document = fleet_request(policies=["crashy"], baseline=None)
+        with FleetDaemon(root) as daemon:
+            raw, _ = serve_one(root, daemon, document)
+            assert json.loads(raw)["failures"]
+            assert not daemon._answers
+            _, last = serve_one(root, daemon, document)
+        assert last["answered_from"] == "simulated"
+        assert (last["cache_hits"], last["simulated"]) == (1, 1)
+
+    def test_memo_answer_needs_every_key_in_the_store(self, tmp_path):
+        root = str(tmp_path / "fleet")
+        with FleetDaemon(root) as daemon:
+            serve_one(root, daemon, fleet_request())
+            ((keys, _),) = daemon._answers.values()
+            del daemon.store._index[keys[0]]
+            _, last = serve_one(root, daemon, fleet_request())
+        assert last["answered_from"] == "simulated"
+        assert (last["cache_hits"], last["simulated"]) == (3, 1)
+
+    def test_least_recently_used_is_evicted_and_answers_the_same_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(daemon_module, "ANSWER_MEMO_SIZE", 2)
+        root = str(tmp_path / "fleet")
+        a, b, c = (fleet_request(seed=seed) for seed in (3, 4, 5))
+        with FleetDaemon(root) as daemon:
+            serve_one(root, daemon, a)
+            serve_one(root, daemon, b)
+            memo, last = serve_one(root, daemon, a)
+            assert last["answered_from"] == "memo"
+            serve_one(root, daemon, c)  # evicts b, used before a
+            assert len(daemon._answers) == 2
+            again, last = serve_one(root, daemon, a)
+            assert last["answered_from"] == "memo"
+            _, last = serve_one(root, daemon, b)
+            assert last["answered_from"] == "store"
+            serve_one(root, daemon, c)  # evicts a
+            stored, last = serve_one(root, daemon, a)
+            assert last["answered_from"] == "store"
+        assert memo == again == stored
+
+    def test_memo_answer_counts_cache_hits(self, tmp_path):
+        root = str(tmp_path / "fleet")
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            with FleetDaemon(root) as daemon:
+                serve_one(root, daemon, fleet_request())
+                raw, last = serve_one(root, daemon, fleet_request())
+        response = json.loads(raw)
+        status = fleet_status(root)
+        assert (response["cache_hits"], response["simulated"]) == (4, 0)
+        assert (status["cache_hits"], status["cache_misses"]) == (4, 4)
+        assert registry.counter("fleet.cache_hits") == 4
+        assert registry.counter("fleet.cache_misses") == 4
+        assert {k: v for k, v in last.items() if k != "ms"} == {
+            "request_id": response["request_id"],
+            "jobs": 4,
+            "cache_hits": 4,
+            "simulated": 0,
+            "answered_from": "memo",
+        }
+        assert last["ms"] > 0
+        assert not {"ms", "answered_from"} & set(response)
 
 
 class TestDaemonPool:
