@@ -50,6 +50,18 @@ def _int_at_least(minimum: int):
 _COUNT = _int_at_least(1)
 
 
+def _positive_float(text: str) -> float:
+    """An argparse ``type``: a float > 0, so a non-positive value is a
+    usage error (exit 2) instead of a library traceback."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0: {text}")
+    return value
+
+
+_positive_float.__name__ = "float"  # the name argparse gives a non-float value
+
+
 def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--metrics",
@@ -99,7 +111,7 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--job-timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="S",
         help=(

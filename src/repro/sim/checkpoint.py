@@ -261,7 +261,6 @@ class DurableAppender:
         self._line_framed = bool(line_framed)
         self._lock = threading.Lock()
         self._handle = None
-        self._offset = 0
 
     def _open(self) -> None:
         needs_newline = False
@@ -272,21 +271,23 @@ class DurableAppender:
                     probe.seek(-1, os.SEEK_END)
                     needs_newline = probe.read(1) != b"\n"
         self._handle = open(self.path, "ab", buffering=0)
-        self._offset = self._handle.seek(0, os.SEEK_END)
         if needs_newline:
             self._handle.write(b"\n")
-            self._offset += 1
 
     def append(self, data: bytes) -> int:
         """Durably append ``data``; returns the offset it was written at
-        (meaningful only while this process is the sole writer)."""
+        (meaningful only while this process is the sole writer).
+
+        The offset is the file's size just before the write, not a
+        counter kept since open, so it stays right if the file shrank
+        or grew under the held handle.
+        """
         with self._lock:
             if self._handle is None:
                 self._open()
-            offset = self._offset
+            offset = os.fstat(self._handle.fileno()).st_size
             self._handle.write(data)
             os.fsync(self._handle.fileno())
-            self._offset += len(data)
             return offset
 
     def close(self) -> None:

@@ -28,8 +28,12 @@ runs are *bit*-identical, not merely close.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
+
+from repro.obs import get_registry
+from repro.sim.fleet.store import ShortBlockError
 
 #: Health is a [0, 1] degradation factor; a core at or below this is
 #: counted "dead" for fleet reporting (half its initial fmax).
@@ -316,7 +320,7 @@ def _ratio(num: float, den: float, *, defined: bool) -> float | None:
     return num / den if defined else None
 
 
-def aggregate_store(store, keys=None) -> FleetAggregates:
+def aggregate_store(store, keys=None, *, skip_short_blocks=False) -> FleetAggregates:
     """Fold store records into fresh aggregates.
 
     With ``keys`` (an iterable of job keys) the fold visits exactly
@@ -324,6 +328,13 @@ def aggregate_store(store, keys=None) -> FleetAggregates:
     canonical submission order here so the response is bit-identical
     however job completion interleaved.  Without ``keys`` every indexed
     record folds in index order.
+
+    A record whose block is short raises
+    :class:`~repro.sim.fleet.store.ShortBlockError`; with
+    ``skip_short_blocks`` it is left out of the fold instead, counted in
+    the ``fleet.short_block_records`` obs counter and reported with a
+    :class:`RuntimeWarning` naming the blocks file, as
+    :func:`~repro.sim.checkpoint.scan_jsonl` does for corrupt lines.
     """
     aggregates = FleetAggregates()
     if keys is None:
@@ -332,7 +343,20 @@ def aggregate_store(store, keys=None) -> FleetAggregates:
         record = store.record(key)
         if record is None:
             continue
-        aggregates.fold_record(record, store.block(record, "final_health"))
+        try:
+            health = store.block(record, "final_health")
+        except ShortBlockError as error:
+            if not skip_short_blocks:
+                raise
+            get_registry().inc("fleet.short_block_records")
+            warnings.warn(
+                f"{error}; leaving job {key} out of the fold (the blocks "
+                "file was truncated or replaced after it was written)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            continue
+        aggregates.fold_record(record, health)
     return aggregates
 
 

@@ -146,7 +146,7 @@ def fleet_status(root: str) -> dict:
     if not os.path.isdir(store_dir):
         return {"jobs_stored": 0, "queue_depth": queued, "aggregates": None}
     with ResultStore(store_dir) as store:
-        aggregates = aggregate_store(store)
+        aggregates = aggregate_store(store, skip_short_blocks=True)
         return {
             "jobs_stored": len(store),
             "queue_depth": queued,
@@ -190,7 +190,12 @@ class FleetDaemon:
         for name in (_SPOOL, _RESULTS, _DONE):
             os.makedirs(os.path.join(self.root, name), exist_ok=True)
         self.store = ResultStore(os.path.join(self.root, _STORE))
-        self.aggregates: FleetAggregates = aggregate_store(self.store)
+        # One short block must not keep the daemon from starting: its
+        # record is left out of the running aggregates, and a request
+        # that needs it is answered with the error.
+        self.aggregates: FleetAggregates = aggregate_store(
+            self.store, skip_short_blocks=True
+        )
         self.pool_host = (
             WorkerPoolHost(self.workers) if self.workers > 1 else None
         )

@@ -14,7 +14,10 @@ import numpy as np
 
 from repro.floorplan import Floorplan
 from repro.util.constants import thermal_voltage
-from repro.variation.correlation import sample_correlated_field
+from repro.variation.correlation import (
+    correlated_field_factor,
+    draw_correlated_field,
+)
 from repro.variation.params import VariationParams
 
 #: Reference junction temperature (K) at which the manufacturing-time
@@ -53,6 +56,37 @@ def _critical_path_pattern(
     the pattern is drawn once per *design*, not per chip.
     """
     return np.sort(rng.choice(grid_per_core**2, size=num_points, replace=False))
+
+
+def _design_silicon(
+    floorplan: Floorplan, params: VariationParams, design_rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """What every die of one design shares: the field factor and CP pattern.
+
+    Returns the lower Cholesky factor of the Vth field's covariance over
+    the design's grid points, and the critical-path pattern drawn from
+    ``design_rng``.
+    """
+    points = _grid_point_coordinates(floorplan, params.grid_per_core)
+    factor = correlated_field_factor(
+        points, params.sigma, params.correlation_length_mm
+    )
+    pattern = _critical_path_pattern(
+        params.grid_per_core, params.critical_path_points, design_rng
+    )
+    return factor, pattern
+
+
+def _sample_theta(
+    params: VariationParams, factor: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw one die's theta field over the design's ``factor``."""
+    theta = draw_correlated_field(factor, params.mean, rng)
+    # The Gaussian model has unbounded tails; clip at 4 sigma to keep
+    # theta physical (positive Vth) without visibly distorting stats.
+    return np.clip(
+        theta, params.mean - 4 * params.sigma, params.mean + 4 * params.sigma
+    )
 
 
 class Chip:
@@ -118,22 +152,14 @@ class Chip:
         ``design_rng`` fixes the critical-path pattern; pass the same
         generator state for every chip of a population so all dies share
         one design (the default derives it deterministically from a
-        fixed seed, independent of ``rng``).
+        fixed seed, independent of ``rng``).  Each call factors the
+        design's covariance; :func:`~repro.variation.generate_population`
+        factors it once for all its dies.
         """
-        points = _grid_point_coordinates(floorplan, params.grid_per_core)
-        theta = sample_correlated_field(
-            points, params.mean, params.sigma, params.correlation_length_mm, rng
-        )
-        # The Gaussian model has unbounded tails; clip at 4 sigma to keep
-        # theta physical (positive Vth) without visibly distorting stats.
-        theta = np.clip(
-            theta, params.mean - 4 * params.sigma, params.mean + 4 * params.sigma
-        )
         if design_rng is None:
             design_rng = np.random.default_rng(0xDE51)
-        pattern = _critical_path_pattern(
-            params.grid_per_core, params.critical_path_points, design_rng
-        )
+        factor, pattern = _design_silicon(floorplan, params, design_rng)
+        theta = _sample_theta(params, factor, rng)
         return cls(floorplan, params, theta, pattern, chip_id=chip_id)
 
     # ------------------------------------------------------------------

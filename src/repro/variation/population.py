@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.floorplan import Floorplan, paper_floorplan
 from repro.util.rng import SeedSequenceFactory
-from repro.variation.chip import Chip
+from repro.variation.chip import Chip, _design_silicon, _sample_theta
 from repro.variation.params import VariationParams
 
 
@@ -65,14 +65,15 @@ def generate_population(
     if params is None:
         params = VariationParams()
     factory = SeedSequenceFactory(seed)
-    # Every chip re-derives the same "design" stream, so the critical-path
-    # pattern is identical across the population (one shared design).
+    # The field factor and the critical-path pattern belong to the design,
+    # so they are computed once; each chip is one draw over the factor.
+    factor, pattern = _design_silicon(floorplan, params, factory.rng("design"))
     chips = [
-        Chip.sample(
+        Chip(
             floorplan,
             params,
-            rng=factory.rng("chip", index),
-            design_rng=factory.rng("design"),
+            _sample_theta(params, factor, factory.rng("chip", index)),
+            pattern,
             chip_id=f"chip-{index:02d}",
         )
         for index in range(num_chips)

@@ -184,6 +184,10 @@ class TestParser:
             ["campaign", "--workers", "0"],
             ["campaign", "--retries", "-1"],
             ["campaign", "--batch-size", "big"],
+            ["campaign", "--job-timeout", "0"],
+            ["sweep", "--job-timeout", "-2.5"],
+            ["campaign", "--job-timeout", "nan"],
+            ["campaign", "--job-timeout", "soon"],
         ],
     )
     def test_out_of_range_counts_are_usage_errors(self, argv, capsys):

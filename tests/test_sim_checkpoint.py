@@ -471,3 +471,16 @@ class TestDurableAppender:
         appender.close()
         assert offsets == [0, 3, 8]
         assert os.path.getsize(path) == 15
+
+    def test_offset_follows_the_file_after_it_shrinks(self, tmp_path):
+        """Each offset is the file's size at the write, not a counter
+        kept since open, so a file cut under the held handle still gets
+        offsets that point at the new record."""
+        path = str(tmp_path / "offsets.bin")
+        appender = DurableAppender(path, line_framed=False)
+        appender.append(b"x" * 8)
+        os.truncate(path, 5)
+        assert appender.append(b"yz") == 5
+        appender.close()
+        with open(path, "rb") as handle:
+            assert handle.read() == b"xxxxxyz"

@@ -152,6 +152,24 @@ class TestResultStore:
         )
         assert f"byte {offset}" in str(error)
 
+    def test_append_after_blocks_shrink_reads_back(
+        self, lifetime_results, tmp_path
+    ):
+        """The blocks appender takes each offset from the file's size, so
+        a record appended after ``blocks.bin`` shrank under the open store
+        points at its own bytes."""
+        result = lifetime_results.results["hayat"][0]
+        directory = str(tmp_path / "store")
+        with ResultStore(directory) as store:
+            store.append("a", result, requirement_ghz=1.0)
+            blocks = os.path.join(directory, "blocks.bin")
+            cut = os.path.getsize(blocks) - 16
+            os.truncate(blocks, cut)
+            record = store.append("b", result, requirement_ghz=1.0)
+            assert record["blocks"]["avg_fmax"][0] == cut
+            for name, array in result_blocks(result).items():
+                np.testing.assert_array_equal(store.block(record, name), array)
+
     def test_duplicate_key_keeps_last_record(self, lifetime_results, tmp_path):
         first = lifetime_results.results["hayat"][0]
         second = lifetime_results.results["hayat"][1]
@@ -492,8 +510,6 @@ class TestDaemon:
             daemon.serve(drain=True)
             blocks = os.path.join(root, "store", "blocks.bin")
             os.truncate(blocks, os.path.getsize(blocks) - 16)
-            # Drop the append handle, whose offset predates the cut.
-            daemon.store.close()
             # Another baseline: the same stored jobs, not the memo.
             short = submit_request(
                 root, fleet_request(baseline="hayat", request_id="a-short")
@@ -511,6 +527,54 @@ class TestDaemon:
         assert "error" not in json.load(
             open(os.path.join(results, f"{good}.json"))
         )
+
+    def test_cold_request_after_blocks_shrink_reads_back(self, tmp_path):
+        """A cold request served after ``blocks.bin`` shrank under the
+        running daemon stores blocks that read back whole."""
+        root = str(tmp_path / "fleet")
+        with FleetDaemon(root) as daemon:
+            submit_request(root, fleet_request())
+            daemon.serve(drain=True)
+            blocks = os.path.join(root, "store", "blocks.bin")
+            os.truncate(blocks, os.path.getsize(blocks) - 16)
+            before = set(daemon.store.keys())
+            cold = submit_request(root, fleet_request(seed=9))
+            assert daemon.serve(drain=True) == 1
+            response = json.load(
+                open(os.path.join(root, "results", f"{cold}.json"))
+            )
+            assert "error" not in response
+            assert response["simulated"] == response["jobs"]
+            fresh = [key for key in daemon.store.keys() if key not in before]
+            assert len(fresh) == response["jobs"]
+            for key in fresh:
+                record = daemon.store.record(key)
+                for name in record["blocks"]:
+                    daemon.store.block(record, name)
+
+    def test_daemon_starts_over_a_short_block(self, tmp_path):
+        """The start-up fold leaves a record with a short block out,
+        counts it and warns naming the file, instead of refusing to
+        start; the daemon then serves a cold request."""
+        root = str(tmp_path / "fleet")
+        with FleetDaemon(root) as daemon:
+            submit_request(root, fleet_request())
+            daemon.serve(drain=True)
+            stored = daemon.aggregates.jobs
+        blocks = os.path.join(root, "store", "blocks.bin")
+        os.truncate(blocks, os.path.getsize(blocks) - 16)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            with pytest.warns(RuntimeWarning, match="blocks.bin"):
+                daemon = FleetDaemon(root)
+            with daemon:
+                assert daemon.aggregates.jobs == stored - 1
+                cold = submit_request(root, fleet_request(seed=9))
+                assert daemon.serve(drain=True) == 1
+        assert registry.counter("fleet.short_block_records") == 1
+        response = json.load(open(os.path.join(root, "results", f"{cold}.json")))
+        assert "error" not in response
+        assert response["simulated"] == response["jobs"]
 
     def test_different_requirement_misses_the_cache(self, tmp_path):
         """The MTTF requirement shapes the stored scalars, so it must be
