@@ -10,11 +10,10 @@ intra-application traffic and its spatial footprint.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 
 from repro.mapping.state import ChipState
+from repro.workload.profiles import PARSEC_PROFILES
 
 
 def traffic_matrix(state: ChipState, nominal_ghz: float = 3.0) -> np.ndarray:
@@ -28,28 +27,21 @@ def traffic_matrix(state: ChipState, nominal_ghz: float = 3.0) -> np.ndarray:
         raise ValueError("nominal_ghz must be positive")
     n = state.num_cores
     traffic = np.zeros((n, n))
+    assignment = state.assignment_view
+    mapped = np.flatnonzero(assignment >= 0)
+    names = [state.threads[index].app_name for index in assignment[mapped].tolist()]
+    codes: dict[str, int] = {}
+    app = np.array([codes.setdefault(name, len(codes)) for name in names], dtype=int)
+    intensity = np.array([_intensity_of(state, name) for name in codes], dtype=float)[app]
 
-    by_app: dict[str, list[int]] = defaultdict(list)
-    assignment = state.assignment
-    for core in np.flatnonzero(assignment >= 0):
-        thread = state.threads[assignment[core]]
-        by_app[thread.app_name].append(int(core))
-
-    freq = state.freq_ghz
-    for app_name, cores in by_app.items():
-        if len(cores) < 2:
-            continue
-        # All threads of one app share the profile's intensity; read it
-        # off any member thread via its duty-cycle-carrying spec.
-        some_thread = state.threads[assignment[cores[0]]]
-        intensity = _intensity_of(state, app_name)
-        del some_thread
-        for a in cores:
-            for b in cores:
-                if a == b:
-                    continue
-                speed = 0.5 * (freq[a] + freq[b]) / nominal_ghz
-                traffic[a, b] += intensity * speed
+    # Every mapped pair at once, each entry the per-pair expression
+    # ``intensity * (0.5 * (f_a + f_b) / nominal)``; pairs across
+    # applications and a core with itself stay exactly 0.0.
+    f = state.freq_view[mapped]
+    rate = intensity[:, None] * (0.5 * (f[:, None] + f[None, :]) / nominal_ghz)
+    talks = app[:, None] == app[None, :]
+    np.fill_diagonal(talks, False)
+    traffic[np.ix_(mapped, mapped)] = np.where(talks, rate, 0.0)
     return traffic
 
 
@@ -61,8 +53,6 @@ def _intensity_of(state: ChipState, app_name: str) -> float:
     ``"<profile>#<instance>"``); unknown names fall back to a small
     default so synthetic test threads still work.
     """
-    from repro.workload.profiles import PARSEC_PROFILES
-
     base = app_name.split("#", 1)[0]
     profile = PARSEC_PROFILES.get(base)
     return profile.comm_intensity if profile is not None else 0.1

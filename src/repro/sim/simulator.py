@@ -33,6 +33,7 @@ from repro.sim.window import (
     WindowStats,
     compile_segment,
     rewind_unexecuted_draws,
+    total_ips,
 )
 from repro.thermal.coupled import solve_coupled_steady_state
 from repro.thermal.rcnet import TransientIntegrator
@@ -50,15 +51,6 @@ def _mean_activity_vector(state: ChipState) -> np.ndarray:
     for core in np.flatnonzero(assignment >= 0):
         activity[core] = state.threads[assignment[core]].mean_activity
     return activity
-
-
-def _total_ips(state: ChipState) -> float:
-    total = 0.0
-    assignment = state.assignment
-    freq = state.freq_ghz
-    for core in np.flatnonzero(assignment >= 0):
-        total += state.threads[assignment[core]].ips_at(float(freq[core]))
-    return total
 
 
 def _depart(state: ChipState, thread_indices: list[int], departed: set[int]) -> None:
@@ -239,7 +231,7 @@ class ChipLane:
 
         stats.observe(core_temps, self.dtm.tsafe_k)
         stats.duty_accum += state.duty_vector() * self.config.control_dt_s
-        stats.ips_sum += _total_ips(state)
+        stats.ips_sum += total_ips(state)
 
     def break_segment(self, segment: CompiledSegment, readings, done: int, times):
         """Run DTM on the step that broke ``segment`` after ``done``
@@ -256,7 +248,7 @@ class ChipLane:
                 segment, times[segment.start_step : segment.start_step + done]
             )
         self.stats.duty_accum += self.state.duty_vector() * self.config.control_dt_s
-        self.stats.ips_sum += _total_ips(self.state)
+        self.stats.ips_sum += total_ips(self.state)
 
     def duties(self) -> np.ndarray:
         """The window's duty cycles plus the settle penalty, upscaled."""

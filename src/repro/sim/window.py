@@ -41,6 +41,8 @@ Progress is observable through the ``sim.fused_steps``,
 
 from __future__ import annotations
 
+import bisect
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +53,7 @@ from repro.power.dynamic import DynamicPowerModel
 from repro.power.leakage import REFERENCE_TEMP_K, LeakageModel
 from repro.power.model import PowerModel
 from repro.thermal.rcnet import TransientIntegrator
-from repro.workload.traces import PhaseTrace
+from repro.workload.traces import PhaseTrace, sample_levels
 
 __all__ = [
     "FusedWindowEngine",
@@ -62,6 +64,7 @@ __all__ = [
     "leakage_w",
     "observe_fused_step",
     "rewind_unexecuted_draws",
+    "total_ips",
 ]
 
 #: Upper bound on the steps compiled into one timeline.  Bounds the
@@ -107,7 +110,7 @@ class CompiledSegment:
     start_step: int
     dyn_power_w: np.ndarray  # (num_steps, num_cores)
     duty_step: np.ndarray  # (num_cores,) == duty_vector() * dt
-    ips_total: float  # == repro.sim.simulator._total_ips(state)
+    ips_total: float  # == total_ips(state)
     busy: np.ndarray  # (num_cores,) bool — cores running a thread
     throttled_idx: np.ndarray  # indices of throttled cores
     traces: list  # mapped PhaseTraces, ascending core order
@@ -118,6 +121,22 @@ class CompiledSegment:
     def num_steps(self) -> int:
         """Steps this segment covers."""
         return self.dyn_power_w.shape[0]
+
+
+def total_ips(state: ChipState) -> float:
+    """Instructions per second of every mapped thread on its core.
+
+    ``ThreadSpec.ips_at``'s ``ipc * freq * 1e9`` per busy core, summed in
+    core order from ``0.0``: both window paths add this total per step,
+    so its order is fixed (``np.sum`` would add pairwise).
+    """
+    assignment = state.assignment_view
+    mapped = np.flatnonzero(assignment >= 0)
+    ipc = np.array([state.threads[index].ipc for index in assignment[mapped].tolist()])
+    total = 0.0
+    for ips in (ipc * state.freq_view[mapped] * 1e9).tolist():
+        total += ips
+    return total
 
 
 def fused_window_unsupported(power_model: PowerModel, dtm) -> str | None:
@@ -206,23 +225,30 @@ def _extend_in_step_order(traces: list[PhaseTrace], times_s: np.ndarray) -> None
     """
     if not len(times_s) or not traces:
         return
-    end_time = float(times_s[-1])
-    horizons = [trace.horizon_s for trace in traces]
-    while True:
-        horizon = min(horizons)
+    times = times_s.tolist()
+    end_time = times[-1]
+    # (due step, core position) of every trace that draws within the
+    # span; a trace is due at the first step whose time reaches its
+    # horizon (bisect_left == searchsorted(side="left") on the same
+    # floats).  Popping in this order extends the due traces step by
+    # step, in core order within a step, as the unfused loop does; a
+    # trace whose horizon lies past a step's time is not due there,
+    # because extend_to would no-op it without drawing.
+    due = []
+    for i, trace in enumerate(traces):
+        horizon = trace.horizon_s
+        if horizon <= end_time:
+            due.append((bisect.bisect_left(times, horizon), i))
+    heapq.heapify(due)
+    while due:
+        step, i = due[0]
+        trace = traces[i]
+        trace.extend_to(times[step])
+        horizon = trace.horizon_s
         if horizon > end_time:
-            return
-        # First step whose time is due for the earliest-expiring trace;
-        # at that step the unfused loop would extend every due trace in
-        # core order.  A trace whose horizon lies past that time is not
-        # due: extend_to would no-op it without drawing, so it is
-        # skipped.
-        step = int(np.searchsorted(times_s, horizon, side="left"))
-        t = float(times_s[step])
-        for i, trace in enumerate(traces):
-            if horizons[i] <= t:
-                trace.extend_to(t)
-                horizons[i] = trace.horizon_s
+            heapq.heappop(due)
+        else:
+            heapq.heapreplace(due, (bisect.bisect_left(times, horizon, step + 1), i))
 
 
 def compile_segment(
@@ -242,12 +268,10 @@ def compile_segment(
     """
     assignment = state.assignment_view
     mapped = np.flatnonzero(assignment >= 0)
-    traces: list[PhaseTrace] = []
-    for core in mapped:
-        trace = state.threads[assignment[core]].trace
-        if type(trace) is not PhaseTrace:
-            return None
-        traces.append(trace)
+    threads = [state.threads[index] for index in assignment[mapped].tolist()]
+    traces: list[PhaseTrace] = [thread.trace for thread in threads]
+    if any(type(trace) is not PhaseTrace for trace in traces):
+        return None
 
     seg_times = times_s[start_step:end_step]
     # Snapshot the trace RNGs before the speculative extension, so a
@@ -264,8 +288,7 @@ def compile_segment(
     _extend_in_step_order(traces, seg_times)
 
     activity = np.zeros((len(seg_times), state.num_cores))
-    for core, trace in zip(mapped, traces):
-        activity[:, core] = trace.levels_at(seg_times)
+    activity[:, mapped] = sample_levels(traces, seg_times)
 
     # Identical op sequence to PowerModel.evaluate's dynamic half, with
     # the per-step rows stacked: elementwise ops on the (k, n) batch
@@ -277,19 +300,14 @@ def compile_segment(
     )
 
     duty = np.zeros(state.num_cores)
-    ips_total = 0.0
-    freq = state.freq_view
-    for core in mapped:
-        thread = state.threads[assignment[core]]
-        duty[core] = thread.duty_cycle
-        ips_total += thread.ips_at(float(freq[core]))
+    duty[mapped] = [thread.duty_cycle for thread in threads]
 
     get_registry().inc("sim.timeline_compiles")
     return CompiledSegment(
         start_step=start_step,
         dyn_power_w=dyn,
         duty_step=duty * dt_s,
-        ips_total=ips_total,
+        ips_total=total_ips(state),
         busy=assignment >= 0,
         throttled_idx=np.flatnonzero(state.throttled_view),
         traces=traces,

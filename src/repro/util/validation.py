@@ -8,6 +8,7 @@ a singular matrix three layers down.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 def check_positive(name: str, value: float) -> float:
     """Return ``value`` if strictly positive, else raise ``ValueError``."""
     value = float(value)
-    if not np.isfinite(value) or value <= 0.0:
+    if not math.isfinite(value) or value <= 0.0:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     return value
 
@@ -24,7 +25,7 @@ def check_positive(name: str, value: float) -> float:
 def check_nonnegative(name: str, value: float) -> float:
     """Return ``value`` if >= 0 and finite, else raise ``ValueError``."""
     value = float(value)
-    if not np.isfinite(value) or value < 0.0:
+    if not math.isfinite(value) or value < 0.0:
         raise ValueError(f"{name} must be a non-negative finite number, got {value!r}")
     return value
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util.validation import check_fraction, check_positive
+from repro.util.validation import check_fraction, check_nonnegative, check_positive
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,11 @@ class WorkloadProfile:
         check_positive("phase_length_s", self.phase_length_s)
         check_fraction("duty_cycle", self.duty_cycle)
         check_positive("fmin_ghz", self.fmin_ghz)
-        if self.fmin_jitter_ghz < 0:
-            raise ValueError("fmin_jitter_ghz must be >= 0")
+        check_nonnegative("fmin_jitter_ghz", self.fmin_jitter_ghz)
         if not 1 <= self.min_threads <= self.max_threads:
             raise ValueError("need 1 <= min_threads <= max_threads")
         check_positive("ipc", self.ipc)
-        if self.comm_intensity < 0:
-            raise ValueError("comm_intensity must be >= 0")
+        check_nonnegative("comm_intensity", self.comm_intensity)
         lo = self.mean_activity - self.activity_jitter
         hi = self.mean_activity + self.activity_jitter
         if lo < 0.0 or hi > 1.0:

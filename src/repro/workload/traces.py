@@ -15,7 +15,7 @@ import bisect
 
 import numpy as np
 
-from repro.util.validation import check_positive
+from repro.util.validation import check_nonnegative, check_positive
 
 
 class PhaseTrace:
@@ -42,6 +42,7 @@ class PhaseTrace:
         rng: np.random.Generator,
     ):
         check_positive("phase_length_s", phase_length_s)
+        check_nonnegative("activity_jitter", activity_jitter)
         if not 0.0 <= mean_activity - activity_jitter:
             raise ValueError("activity band extends below 0")
         if mean_activity + activity_jitter > 1.0:
@@ -49,36 +50,33 @@ class PhaseTrace:
         self.mean_activity = float(mean_activity)
         self.activity_jitter = float(activity_jitter)
         self.phase_length_s = float(phase_length_s)
+        # The level band as ``Generator.uniform(lo, hi)`` forms it.
+        self._lo = self.mean_activity - self.activity_jitter
+        self._span = (self.mean_activity + self.activity_jitter) - self._lo
         self._rng = rng
         self._boundaries = [0.0]  # cumulative phase end times
         self._levels: list[float] = []
-        # Cached ndarray mirrors of the phase lists for vectorized
-        # sampling; rebuilt lazily whenever an extension grows the lists.
-        self._bounds_arr: np.ndarray | None = None
-        self._levels_arr: np.ndarray | None = None
         self._extend_to(0.0)
 
-    def _draw_level(self) -> float:
-        if self.activity_jitter == 0.0:
-            return self.mean_activity
-        return float(
-            self._rng.uniform(
-                self.mean_activity - self.activity_jitter,
-                self.mean_activity + self.activity_jitter,
-            )
-        )
-
     def _extend_to(self, time_s: float) -> None:
-        if self._boundaries[-1] > time_s:
+        boundaries = self._boundaries
+        boundary = boundaries[-1]
+        if boundary > time_s:
             return
-        while self._boundaries[-1] <= time_s:
-            duration = max(
-                self._MIN_PHASE_S, float(self._rng.exponential(self.phase_length_s))
-            )
-            self._boundaries.append(self._boundaries[-1] + duration)
-            self._levels.append(self._draw_level())
-        self._bounds_arr = None
-        self._levels_arr = None
+        # Bare draws: ``scale * standard_exponential()`` and
+        # ``lo + span * random()`` are the IEEE ops ``Generator.
+        # exponential(scale)`` and ``Generator.uniform(lo, hi)`` run in
+        # C, consuming the stream identically.  A zero-jitter trace
+        # draws no level at all.
+        rng = self._rng
+        min_phase, scale = self._MIN_PHASE_S, self.phase_length_s
+        jitter = self.activity_jitter != 0.0
+        mean, lo, span = self.mean_activity, self._lo, self._span
+        levels = self._levels
+        while boundary <= time_s:
+            boundary += max(min_phase, scale * rng.standard_exponential())
+            boundaries.append(boundary)
+            levels.append(lo + span * rng.random() if jitter else mean)
 
     def extend_to(self, time_s: float) -> None:
         """Materialize phases up to and beyond ``time_s``.
@@ -120,8 +118,6 @@ class PhaseTrace:
             return
         del self._levels[count:]
         del self._boundaries[count + 1 :]
-        self._bounds_arr = None
-        self._levels_arr = None
 
     @property
     def generator(self) -> np.random.Generator:
@@ -130,22 +126,9 @@ class PhaseTrace:
         return self._rng
 
     def levels_at(self, times_s: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`activity_at` over an ascending time array.
-
-        Every time must already be covered (callers extend first via
-        :meth:`extend_to` in shared-RNG order); uses ``searchsorted``
-        on cached boundary arrays, matching ``bisect_right`` on the
-        same floats exactly.
-        """
-        times_s = np.asarray(times_s, dtype=float)
-        if times_s.size and float(times_s[-1]) >= self._boundaries[-1]:
-            # Ascending contract: the last element is the maximum.
-            raise ValueError("levels_at requires the trace to be extended first")
-        if self._bounds_arr is None:
-            self._bounds_arr = np.asarray(self._boundaries)
-            self._levels_arr = np.asarray(self._levels)
-        idx = np.searchsorted(self._bounds_arr, times_s, side="right") - 1
-        return self._levels_arr[idx]
+        """Vectorized :meth:`activity_at` over an ascending time array
+        (:func:`sample_levels` for this one trace)."""
+        return sample_levels([self], times_s)[:, 0]
 
     def activity_at(self, time_s: float) -> float:
         """Activity level at absolute time ``time_s`` (>= 0)."""
@@ -172,3 +155,42 @@ class PhaseTrace:
         if total <= 0:
             return self.activity_at(start_s)
         return float((levels * weights).sum() / total)
+
+
+def sample_levels(traces: list[PhaseTrace], times_s: np.ndarray) -> np.ndarray:
+    """Every trace's activity level at every time, ``(steps, traces)``.
+
+    ``times_s`` is ascending and every time must already be covered
+    (callers extend first via :meth:`PhaseTrace.extend_to` in shared-RNG
+    order).  Each trace contributes its boundaries from the phase
+    holding ``times_s[0]`` on to one flat array; a level's index is the
+    count of boundaries ``<= t`` (``np.add.reduceat`` over comparisons,
+    no arithmetic on times), which is ``bisect_right`` on the same
+    floats, so the result equals :meth:`PhaseTrace.activity_at` exactly.
+    """
+    times_s = np.asarray(times_s, dtype=float)
+    if not times_s.size or not traces:
+        return np.empty((times_s.size, len(traces)))
+    first_time = float(times_s[0])
+    last_time = float(times_s[-1])  # ascending: the maximum
+    bounds: list[float] = []
+    levels: list[float] = []
+    starts: list[int] = []
+    bases: list[int] = []
+    for trace in traces:
+        trace_bounds = trace._boundaries
+        if last_time >= trace_bounds[-1]:
+            raise ValueError("sample_levels requires the traces to be extended first")
+        # Phase holding the first time: its start boundary is counted by
+        # every time, so each trace's slice is non-empty (reduceat sums
+        # an empty slice to an element, not 0) and a count of c picks
+        # the slice's c-th level.
+        first = bisect.bisect_right(trace_bounds, first_time) - 1
+        starts.append(len(bounds))
+        bases.append(len(levels) - 1)
+        bounds += trace_bounds[first:]
+        levels += trace._levels[first:]
+    counts = np.add.reduceat(
+        times_s[:, None] >= np.array(bounds), starts, axis=1, dtype=np.intp
+    )
+    return np.array(levels)[counts + np.array(bases)]

@@ -6,7 +6,8 @@ import pytest
 from repro.floorplan import Floorplan
 from repro.mapping import ChipState, DarkCoreMap
 from repro.noc import MeshTopology, evaluate_mapping, traffic_matrix
-from repro.workload import make_mix
+from repro.workload import PARSEC_PROFILES, ThreadSpec, make_mix
+from tests.noc_reference import reference_traffic_matrix
 
 
 def build_state(cores_for_threads, mix_names=("dedup", "ferret"), n=16):
@@ -59,6 +60,51 @@ class TestTrafficMatrix:
         state = build_state([0, 1, 2, 3, 4, 5, 6])
         with pytest.raises(ValueError):
             traffic_matrix(state, nominal_ghz=0.0)
+
+
+def _fuzz_state(seed):
+    """A random mapping: a mixed workload (sometimes with a thread of an
+    unknown application, which talks at the fallback intensity), a
+    random subset of threads placed, throttled cores at random
+    frequencies, and now and then nothing mapped at all."""
+    rng = np.random.default_rng(seed)
+    n = 16 if seed % 2 else 64
+    names = list(rng.choice(sorted(PARSEC_PROFILES), size=int(rng.integers(1, 4)), replace=False))
+    least = sum(PARSEC_PROFILES[name].min_threads for name in names)
+    threads = make_mix(names, int(rng.integers(least, max(least, n // 2) + 1)), rng).threads
+    if seed % 3 == 0:
+        solo = threads[0]
+        threads.append(ThreadSpec("synthetic#0", 0, 1.0, 0.5, 1.0, solo.trace))
+    cores = rng.permutation(n)[: len(threads)]
+    state = ChipState(n, threads, DarkCoreMap.from_on_indices(n, sorted(cores.tolist())))
+    placed = 0 if seed % 7 == 0 else int(rng.integers(1, len(threads) + 1))
+    for index in rng.permutation(len(threads))[:placed]:
+        state.place(int(index), int(cores[index]), float(rng.uniform(1.0, 3.6)))
+    for core in np.flatnonzero(state.assignment >= 0):
+        if rng.random() < 0.3:
+            state.set_frequency(int(core), float(rng.uniform(0.4, 2.0)), throttled=True)
+    return state
+
+
+class TestTrafficMatrixReference:
+    @pytest.mark.parametrize("nominal", [3.0, 2.2])
+    def test_bit_equal_to_pair_loop(self, nominal):
+        """The masked-array rates equal the per-pair loop bit for bit
+        over mixed and one-thread applications, throttled frequencies
+        and empty mappings."""
+        shapes = set()
+        for seed in range(120):
+            state = _fuzz_state(seed)
+            fast = traffic_matrix(state, nominal)
+            ref = reference_traffic_matrix(state, nominal)
+            np.testing.assert_array_equal(fast.view(np.int64), ref.view(np.int64))
+            apps = [state.threads[i].app_name for i in state.assignment if i >= 0]
+            shapes.add("mapped" if apps else "empty")
+            if any(apps.count(name) == 1 for name in apps):
+                shapes.add("one-thread")
+            if state.throttled.any():
+                shapes.add("throttled")
+        assert shapes == {"empty", "mapped", "one-thread", "throttled"}
 
 
 class TestEvaluateMapping:
