@@ -66,46 +66,7 @@ class VAAManager:
 
     def prepare_epoch(self, ctx, mix: WorkloadMix, epoch_years: float) -> ChipState:
         """Contiguously map each application around a hill-climbed center."""
-        return self._prepare_epoch_with_hops(
-            ctx, mix, self._hop_matrix(ctx.floorplan)
-        )
-
-    def prepare_epoch_batch(
-        self, ctxs, mixes, epoch_years: float
-    ) -> list[ChipState]:
-        """Epoch decisions for a whole chip batch.
-
-        The mesh hop matrix is a pure function of the floorplan's
-        (num_cores, cols) geometry, so one build serves every lane of a
-        same-floorplan batch; the hill climbing and placement stay per
-        chip.  ``states[i]`` is bit-identical to
-        ``prepare_epoch(ctxs[i], mixes[i], ...)``.
-        """
-        from repro.obs import get_registry
-
-        if type(self).prepare_epoch is not VAAManager.prepare_epoch:
-            # A subclass customized the per-chip decision without
-            # providing a batched counterpart; honor its override.
-            return [
-                self.prepare_epoch(ctx, mix, epoch_years)
-                for ctx, mix in zip(ctxs, mixes)
-            ]
-        if len(ctxs) >= 2:
-            get_registry().inc("sim.decision_batched_lanes", len(ctxs))
-        hops_memo: dict[tuple[int, int], np.ndarray] = {}
-        states = []
-        for ctx, mix in zip(ctxs, mixes):
-            key = (ctx.floorplan.num_cores, ctx.floorplan.cols)
-            hops = hops_memo.get(key)
-            if hops is None:
-                hops = self._hop_matrix(ctx.floorplan)
-                hops_memo[key] = hops
-            states.append(self._prepare_epoch_with_hops(ctx, mix, hops))
-        return states
-
-    def _prepare_epoch_with_hops(
-        self, ctx, mix: WorkloadMix, hops: np.ndarray
-    ) -> ChipState:
+        hops = ctx.noc.hop_matrix
         health_now = ctx.measured_health()
         fmax_now = ctx.chip.fmax_init_ghz * health_now
         floorplan = ctx.floorplan
@@ -168,17 +129,20 @@ class VAAManager:
             blind_boost(state, fmax_now)
         return state
 
+    def prepare_epoch_batch(
+        self, ctxs, mixes, epoch_years: float
+    ) -> list[ChipState]:
+        """Epoch decisions for a whole chip batch: one
+        :meth:`prepare_epoch` per lane (VAA shares no work across
+        chips), so a subclass override is honoured."""
+        return [
+            self.prepare_epoch(ctx, mix, epoch_years)
+            for ctx, mix in zip(ctxs, mixes)
+        ]
+
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    @staticmethod
-    def _hop_matrix(floorplan: Floorplan) -> np.ndarray:
-        n = floorplan.num_cores
-        rows, cols = np.divmod(np.arange(n), floorplan.cols)
-        return np.abs(rows[:, None] - rows[None, :]) + np.abs(
-            cols[:, None] - cols[None, :]
-        )
-
     def _first_node(
         self,
         floorplan: Floorplan,

@@ -98,21 +98,11 @@ class ChipState:
         #: every mutation so :meth:`core_of_thread` is O(1) instead of a
         #: per-call scan of the assignment vector.
         self._thread_core = np.full(len(self.threads), -1, dtype=int)
-        #: Monotonic mutation counter.  Consumers that derive state from
-        #: this object (the fused window engine's compiled timelines)
-        #: compare it against the version they compiled at and rebuild
-        #: when it moved — dirty tracking without callbacks.
-        self._version = 0
         self._views: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------
-    @property
-    def version(self) -> int:
-        """Mutation counter: bumps on every state-changing call."""
-        return self._version
-
     def _readonly(self, name: str, backing: np.ndarray) -> np.ndarray:
         """A cached read-only alias of ``backing`` (shared storage).
 
@@ -188,7 +178,6 @@ class ChipState:
             raise ValueError("only dark cores can be fenced")
         self._fenced[:] = False
         self._fenced[cores] = True
-        self._version += 1
 
     @property
     def dcm(self) -> DarkCoreMap:
@@ -224,7 +213,6 @@ class ChipState:
         """
         self.threads.append(thread)
         self._thread_core = np.append(self._thread_core, -1)
-        self._version += 1
         return len(self.threads) - 1
 
     def place(self, thread_index: int, core: int, freq_ghz: float) -> None:
@@ -244,7 +232,6 @@ class ChipState:
         self._freq_ghz[core] = float(freq_ghz)
         self._throttled[core] = False
         self._thread_core[thread_index] = core
-        self._version += 1
 
     def unplace(self, core: int) -> int:
         """Remove the thread from a core; returns the thread index."""
@@ -256,7 +243,6 @@ class ChipState:
         self._freq_ghz[core] = 0.0
         self._throttled[core] = False
         self._thread_core[thread_index] = -1
-        self._version += 1
         return thread_index
 
     def migrate(self, source: int, target: int) -> None:
@@ -282,7 +268,6 @@ class ChipState:
         self._assignment[target] = thread_index
         self._freq_ghz[target] = freq
         self._thread_core[thread_index] = target
-        self._version += 1
 
     def set_frequency(self, core: int, freq_ghz: float, throttled: bool = False) -> None:
         """Adjust a busy core's frequency (used by DTM throttling)."""
@@ -293,13 +278,11 @@ class ChipState:
             raise ValueError("operating frequency must be positive")
         self._freq_ghz[core] = float(freq_ghz)
         self._throttled[core] = bool(throttled)
-        self._version += 1
 
     def power_on(self, core: int) -> None:
         """Wake a dark core (leaves it idle)."""
         self._check_core(core)
         self._powered_on[core] = True
-        self._version += 1
 
     def power_off(self, core: int) -> None:
         """Gate an idle core."""
@@ -308,7 +291,6 @@ class ChipState:
             raise ValueError(f"core {core} runs a thread; unplace it first")
         self._powered_on[core] = False
         self._freq_ghz[core] = 0.0
-        self._version += 1
 
     # ------------------------------------------------------------------
     # vectors for the power/thermal models
@@ -316,16 +298,22 @@ class ChipState:
     def activity_vector(self, time_s: float) -> np.ndarray:
         """Per-core switching activity at simulation time ``time_s``."""
         activity = np.zeros(self.num_cores)
-        for core in np.flatnonzero(self._assignment >= 0):
-            thread = self.threads[self._assignment[core]]
-            activity[core] = thread.activity_at(time_s)
+        cores = np.flatnonzero(self._assignment >= 0)
+        threads = self.threads
+        activity[cores] = [
+            threads[t].activity_at(time_s)
+            for t in self._assignment[cores].tolist()
+        ]
         return activity
 
     def duty_vector(self) -> np.ndarray:
         """Per-core PMOS stress duty cycle (0 for idle/dark cores)."""
         duty = np.zeros(self.num_cores)
-        for core in np.flatnonzero(self._assignment >= 0):
-            duty[core] = self.threads[self._assignment[core]].duty_cycle
+        cores = np.flatnonzero(self._assignment >= 0)
+        threads = self.threads
+        duty[cores] = [
+            threads[t].duty_cycle for t in self._assignment[cores].tolist()
+        ]
         return duty
 
     def validate(self, fmax_ghz: np.ndarray | None = None) -> None:

@@ -52,13 +52,16 @@ class MeshTopology:
 
     @cached_property
     def hop_matrix(self) -> np.ndarray:
-        """All-pairs hop counts."""
+        """All-pairs hop counts (read-only: VAA's decision, the NoC
+        metrics and Hayat's communication term share it)."""
         n = self.num_nodes
         cols = self.floorplan.cols
         rows_idx, cols_idx = np.divmod(np.arange(n), cols)
-        return np.abs(rows_idx[:, None] - rows_idx[None, :]) + np.abs(
+        hops = np.abs(rows_idx[:, None] - rows_idx[None, :]) + np.abs(
             cols_idx[:, None] - cols_idx[None, :]
         )
+        hops.flags.writeable = False
+        return hops
 
     def route(self, src: int, dst: int) -> list[int]:
         """Link ids of the XY route from ``src`` to ``dst``.

@@ -209,10 +209,6 @@ class FleetDaemon:
         self._stop = False
         self._table = None
         self._populations: dict[tuple[int, int], object] = {}
-        # Keyed on the config's repr, exact for its scalar fields: 2
-        # and 2.0 compare equal but digest differently.  The table and
-        # the populations never change while the daemon runs.
-        self._digests: dict[tuple[str, int, int], str] = {}
         #: ``self.aggregates.to_dict()``, rendered once per fold state.
         self._status_aggregates: dict | None = None
         #: ``(request digest, requirement) -> (job keys, aggregates)``
@@ -341,18 +337,6 @@ class FleetDaemon:
             self._populations[key] = generate_population(chips, seed=seed)
         return self._populations[key]
 
-    def _digest(self, config, request: Scenario) -> str:
-        """:func:`campaign_digest` of one floor, memoized per
-        ``(config, chips, population_seed)``."""
-        key = (repr(config), request.chips, request.population_seed)
-        digest = self._digests.get(key)
-        if digest is None:
-            population = self._population(request.chips, request.population_seed)
-            digest = self._digests[key] = campaign_digest(
-                config, population, self._table
-            )
-        return digest
-
     def _count_jobs(self, hits: int, misses: int, failed: int) -> None:
         registry = get_registry()
         registry.inc("fleet.cache_hits", hits)
@@ -403,7 +387,7 @@ class FleetDaemon:
         hits = misses = 0
         try:
             for config in request.configs:
-                digest = self._digest(config, request)
+                digest = campaign_digest(config, population, self._table)
                 # The MTTF requirement shapes the stored scalars and the
                 # unit size can shape a chip's result, so a request that
                 # differs in either must miss the cache, not read stale
@@ -422,8 +406,8 @@ class FleetDaemon:
                     continue
                 failures.extend(
                     self._run_floor(
-                        config, floor_jobs, request, digest, requirement,
-                        progress,
+                        config, floor_jobs, request, population, digest,
+                        requirement, progress,
                     )
                 )
         except CampaignJobError as error:
@@ -470,16 +454,14 @@ class FleetDaemon:
         }
 
     def _run_floor(
-        self, config, floor_jobs, request, digest, requirement, progress
+        self, config, floor_jobs, request, population, digest, requirement,
+        progress,
     ) -> list:
         """Simulate one dark floor's uncached jobs, streaming to store."""
         keys = [key for key, _ in floor_jobs]
         jobs = [job for _, job in floor_jobs]
         shared = build_shared(
-            config,
-            self._table,
-            self._population(request.chips, request.population_seed),
-            isolate_metrics=True,
+            config, self._table, population, isolate_metrics=True
         )
         if self.pool_host is not None:
             self.pool_host.ensure(shared, signature=digest)

@@ -47,9 +47,12 @@ MAX_SETTLE_ROUNDS = 16
 
 def _mean_activity_vector(state: ChipState) -> np.ndarray:
     activity = np.zeros(state.num_cores)
-    assignment = state.assignment
-    for core in np.flatnonzero(assignment >= 0):
-        activity[core] = state.threads[assignment[core]].mean_activity
+    assignment = state.assignment_view
+    cores = np.flatnonzero(assignment >= 0)
+    threads = state.threads
+    activity[cores] = [
+        threads[t].mean_activity for t in assignment[cores].tolist()
+    ]
     return activity
 
 

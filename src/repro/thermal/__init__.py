@@ -19,7 +19,6 @@ Two solvers are exposed:
 from repro.thermal.cache import (
     ThermalComputeCache,
     clear_thermal_cache,
-    configure_thermal_cache,
     get_thermal_cache,
     warm_thermal_cache,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "ThermalSensor",
     "TransientIntegrator",
     "clear_thermal_cache",
-    "configure_thermal_cache",
     "get_thermal_cache",
     "solve_coupled_steady_state",
     "solve_coupled_steady_state_batch",

@@ -33,17 +33,20 @@ instead.  A multi-epoch campaign therefore shows a flat
 count — the reuse is regression-testable (see
 ``tests/test_thermal_cache.py``).
 
-The cache is always on; :func:`clear_thermal_cache` empties it (the
-next build then recomputes, which is how the tests get an uncached
-oracle) and :func:`configure_thermal_cache` bounds it.  Each spawn worker
-process has its own cache; ``run_campaign`` warms worker caches from its
-pool initializer so no job pays the first-miss cost.
+The cache is always on and unbounded.  The key set stays small without
+eviction: :class:`~repro.sim.context.ChipContext` always builds
+``ThermalRCNetwork(floorplan)`` with the default ``ThermalConfig``, so a
+process holds one entry per distinct floorplan geometry, and each entry
+one step factorization per ``dt``.  :func:`clear_thermal_cache` empties
+it (the next build then recomputes, which is how the tests get an
+uncached oracle).  Each spawn worker process has its own cache;
+``run_campaign`` warms worker caches from its pool initializer so no
+job pays the first-miss cost.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 
 import numpy as np
 
@@ -106,25 +109,11 @@ def _freeze(array: np.ndarray) -> np.ndarray:
 
 
 class ThermalComputeCache:
-    """LRU cache of :class:`ThermalEntry` keyed by (floorplan, config).
+    """Cache of :class:`ThermalEntry` keyed by (floorplan, config)."""
 
-    Parameters
-    ----------
-    max_entries:
-        Distinct (floorplan signature, config) pairs kept.  Entries are
-        small (a few 100 kB for the paper's 129-node network) and real
-        workloads use a handful of keys, so the bound only guards
-        against pathological sweeps over thousands of configs.
-    """
-
-    def __init__(self, max_entries: int = 16):
-        self.max_entries = int(max_entries)
-        self._entries: OrderedDict = OrderedDict()
+    def __init__(self):
+        self._entries: dict = {}
         self._lock = threading.Lock()
-        #: Lifetime counters (independent of the obs registry, for
-        #: introspection/debugging via :meth:`stats`).
-        self.hits = 0
-        self.misses = 0
 
     # ------------------------------------------------------------------
     # lookup
@@ -142,20 +131,13 @@ class ThermalComputeCache:
         with self._lock:
             found = self._entries.get(key)
             if found is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
                 get_registry().inc("thermal.cache_hits")
                 return found
         entry = builder()
         for name in ("system", "capacitance", "node_power_base"):
             _freeze(getattr(entry, name))
         with self._lock:
-            winner = self._entries.setdefault(key, entry)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-            self.misses += 1
-        return winner
+            return self._entries.setdefault(key, entry)
 
     def step_factor(self, entry: ThermalEntry, dt_s: float, builder):
         """Per-``dt`` step factorization, building on miss.
@@ -166,50 +148,33 @@ class ThermalComputeCache:
         with self._lock:
             found = entry.step_factors.get(dt_s)
         if found is not None:
-            self.hits += 1
             get_registry().inc("thermal.cache_hits")
             return found
         cho, c_over_dt = builder()
         _freeze(c_over_dt)
         with self._lock:
-            found = entry.step_factors.setdefault(dt_s, (cho, c_over_dt))
-            self.misses += 1
-        return found
+            return entry.step_factors.setdefault(dt_s, (cho, c_over_dt))
 
     def lazy_field(self, entry: ThermalEntry, name: str, builder) -> np.ndarray:
         """Lazily-computed per-entry array (``influence``/``baseline_rise``)."""
         with self._lock:
             found = getattr(entry, name)
         if found is not None:
-            self.hits += 1
             get_registry().inc("thermal.cache_hits")
             return found
         value = _freeze(builder())
         with self._lock:
             if getattr(entry, name) is None:
                 setattr(entry, name, value)
-            self.misses += 1
             return getattr(entry, name)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def clear(self) -> None:
-        """Drop every entry (counters stay)."""
+        """Drop every entry."""
         with self._lock:
             self._entries.clear()
-
-    def stats(self) -> dict:
-        """Introspection snapshot: sizes and hit/miss totals."""
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "step_factors": sum(
-                    len(e.step_factors) for e in self._entries.values()
-                ),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
 
 
 _CACHE = ThermalComputeCache()
@@ -217,13 +182,6 @@ _CACHE = ThermalComputeCache()
 
 def get_thermal_cache() -> ThermalComputeCache:
     """The process-global cache every thermal consumer shares."""
-    return _CACHE
-
-
-def configure_thermal_cache(max_entries: int | None = None) -> ThermalComputeCache:
-    """Reconfigure the global cache's entry bound."""
-    if max_entries is not None:
-        _CACHE.max_entries = int(max_entries)
     return _CACHE
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines.vaa import VAAManager, _climb
 from repro.floorplan import Floorplan
+from repro.noc import MeshTopology
 
 
 class TestClimb:
@@ -30,14 +31,14 @@ class TestClimb:
 class TestHopMatrix:
     def test_matches_manhattan(self):
         fp = Floorplan(3, 4)
-        hops = VAAManager._hop_matrix(fp)
+        hops = MeshTopology(fp).hop_matrix
         for a in range(fp.num_cores):
             for b in range(fp.num_cores):
                 assert hops[a, b] == fp.manhattan_distance(a, b)
 
     def test_symmetric_zero_diagonal(self):
         fp = Floorplan(4, 4)
-        hops = VAAManager._hop_matrix(fp)
+        hops = MeshTopology(fp).hop_matrix
         np.testing.assert_array_equal(hops, hops.T)
         np.testing.assert_array_equal(np.diag(hops), 0)
 
@@ -47,7 +48,7 @@ class TestFirstNode:
         """The first node lands where many free, fast-enough cores
         cluster."""
         manager = VAAManager(neighborhood_radius=2)
-        hops = manager._hop_matrix(floorplan)
+        hops = MeshTopology(floorplan).hop_matrix
         free = np.ones(64, dtype=bool)
         free[:32] = False  # left half occupied
         fmax = chip.fmax_init_ghz
@@ -58,7 +59,7 @@ class TestFirstNode:
 
     def test_raises_without_free_cores(self, chip, floorplan):
         manager = VAAManager()
-        hops = manager._hop_matrix(floorplan)
+        hops = MeshTopology(floorplan).hop_matrix
         with pytest.raises(RuntimeError, match="no free cores"):
             manager._first_node(
                 floorplan,

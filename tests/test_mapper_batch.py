@@ -12,6 +12,7 @@ bit for bit.
 import numpy as np
 import pytest
 
+from repro.baselines import CoolestFirstManager, VAAManager
 from repro.core import HayatManager, HayatMapper, MappingError, OnlineHealthEstimator
 from repro.core.dcm import temperature_optimized_dcm
 from repro.core.mapper_batch import MapperLane, map_threads_batch, unstackable_reason
@@ -343,14 +344,25 @@ class TestUncalledOverrides:
 
 
 class TestManagerBatch:
-    def test_prepare_epoch_batch_matches_per_lane(self, population, aging_table):
-        """The full manager path — DCM, fencing, batched mapping,
-        unmapped absorption — equals per-lane ``prepare_epoch``."""
-        policy = HayatManager()
-        mixes = [
+    @staticmethod
+    def _mixes():
+        return [
             make_mix(apps, count, np.random.default_rng(90 + i))
             for i, (apps, count) in enumerate(zip(APPS, COUNTS))
         ]
+
+    @pytest.mark.parametrize(
+        "policy_type", [HayatManager, VAAManager, CoolestFirstManager],
+        ids=lambda policy_type: policy_type.__name__,
+    )
+    def test_prepare_epoch_batch_matches_per_lane(
+        self, policy_type, population, aging_table
+    ):
+        """The full manager path — Hayat's DCM, fencing, batched
+        mapping and unmapped absorption; VAA's hill climb; Coolest's
+        shared DCM — equals per-lane ``prepare_epoch``."""
+        policy = policy_type()
+        mixes = self._mixes()
         make_ctxs = lambda: [
             ChipContext(chip, aging_table, dark_fraction_min=0.5)
             for chip in population
@@ -362,6 +374,60 @@ class TestManagerBatch:
         ]
         for got, want in zip(batch_states, solo_states):
             assert_states_identical(got, want)
+
+    def test_vaa_batch_over_two_floorplan_shapes(
+        self, population, small_floorplan, aging_table
+    ):
+        """Each VAA lane reads the hop matrix of its own context, so
+        interleaved 8x8 and 4x4 lanes each match their solo decision."""
+        small_chips = generate_population(2, seed=3, floorplan=small_floorplan)
+        chips = [population[0], small_chips[0], population[1], small_chips[1]]
+        mixes = [
+            make_mix(["bodytrack", "x264"], 16, np.random.default_rng(70)),
+            make_mix(["dedup"], 6, np.random.default_rng(71)),
+            make_mix(["dedup", "ferret"], 12, np.random.default_rng(72)),
+            make_mix(["ferret"], 7, np.random.default_rng(73)),
+        ]
+        make_ctxs = lambda: [
+            ChipContext(chip, aging_table, dark_fraction_min=0.5)
+            for chip in chips
+        ]
+        policy = VAAManager()
+        batch_states = policy.prepare_epoch_batch(make_ctxs(), mixes, 0.5)
+        solo_states = [
+            policy.prepare_epoch(ctx, mix, 0.5)
+            for ctx, mix in zip(make_ctxs(), mixes)
+        ]
+        assert [state.num_cores for state in batch_states] == [64, 16, 64, 16]
+        for got, want in zip(batch_states, solo_states):
+            assert_states_identical(got, want)
+
+    def test_vaa_batch_honours_prepare_epoch_override(
+        self, population, aging_table
+    ):
+        """A subclass that overrides only ``prepare_epoch`` gets its
+        override on every lane of a batch."""
+
+        class HalfSpeed(VAAManager):
+            def prepare_epoch(self, ctx, mix, epoch_years):
+                calls.append(ctx.chip.chip_id)
+                state = super().prepare_epoch(ctx, mix, epoch_years)
+                for core in np.flatnonzero(state.assignment >= 0):
+                    state.set_frequency(int(core), 0.5 * state.freq_ghz[core])
+                return state
+
+        calls = []
+        make_ctxs = lambda: [
+            ChipContext(chip, aging_table, dark_fraction_min=0.5)
+            for chip in population
+        ]
+        mixes = self._mixes()
+        states = HalfSpeed().prepare_epoch_batch(make_ctxs(), mixes, 0.5)
+        plain = VAAManager().prepare_epoch_batch(make_ctxs(), mixes, 0.5)
+        assert calls == [chip.chip_id for chip in population]
+        for got, want in zip(states, plain):
+            np.testing.assert_array_equal(got.assignment, want.assignment)
+            np.testing.assert_array_equal(got.freq_ghz, 0.5 * want.freq_ghz)
 
 
 def small_cfg(**overrides) -> SimulationConfig:

@@ -28,6 +28,15 @@ class TestStructure:
             for b in range(16):
                 assert mesh.hop_matrix[a, b] == fp.manhattan_distance(a, b)
 
+    def test_hop_matrix_is_read_only(self, mesh):
+        """VAA, the NoC metrics and Hayat's communication term share
+        one matrix per topology; a write must fail, not leak."""
+        hops = mesh.hop_matrix
+        assert hops is mesh.hop_matrix
+        with pytest.raises(ValueError):
+            hops[0, 1] = 7
+        assert hops[0, 1] == 1
+
 
 class TestRouting:
     def test_route_length_is_hop_count(self, mesh):

@@ -29,7 +29,7 @@ from repro.sim.fleet import (
     result_scalars,
     submit_request,
 )
-from repro.sim.checkpoint import campaign_digest
+from repro.sim.checkpoint import campaign_digest, job_keys
 from repro.sim.fleet import daemon as daemon_module
 from repro.sim.fleet.aggregates import PERCENTILES, Histogram, RunningStat
 from repro.baselines import VAAManager
@@ -653,26 +653,25 @@ class TestDaemon:
             daemon.serve(drain=True)
             assert status_matches_store(daemon)["jobs"] == 2 * first["jobs"]
 
-    def test_memoized_digest_equals_a_fresh_one(self, tmp_path):
-        """The per-floor digest is a store key: memoizing it must not
-        change it, and configs that are equal but typed differently
-        (``2`` vs ``2.0`` years) keep their distinct digests."""
+    def test_store_keys_carry_a_fresh_campaign_digest(self, tmp_path):
+        """Each floor's campaign digest is part of its store keys: a
+        served request's keys equal the keys built from a fresh
+        ``campaign_digest`` of its config, population and table."""
         root = str(tmp_path / "fleet")
+        document = fleet_request()
         with FleetDaemon(root) as daemon:
-            submit_request(root, fleet_request())
+            submit_request(root, document)
             daemon.serve(drain=True)
-            for years in (2, 2.0):
-                request = Scenario.from_dict(
-                    fleet_request(years=years, dark_fractions=[0.25, 0.5])
-                )
-                population = generate_population(
-                    request.chips, seed=request.population_seed
-                )
-                for config in request.configs:
-                    fresh = campaign_digest(config, population, daemon._table)
-                    assert daemon._digest(config, request) == fresh
-                    assert daemon._digest(config, request) == fresh
-            assert len(daemon._digests) == 5
+            request = Scenario.from_dict(document)
+            population = generate_population(
+                request.chips, seed=request.population_seed
+            )
+            jobs = [(p, chip) for p in request.policies for chip in population]
+            (config,) = request.configs
+            digest = campaign_digest(config, population, daemon._table)
+            suffix = f":r{request.requirement_ghz!r}:b{request.batch_size}"
+            want = job_keys(jobs, config.dark_fraction_min, digest + suffix)
+            assert sorted(daemon.store.keys()) == sorted(want)
 
     def test_json_files_are_compact_and_published_by_rename(
         self, tmp_path, monkeypatch

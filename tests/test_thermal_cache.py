@@ -11,7 +11,8 @@ Three contracts are pinned here:
    :func:`clear_thermal_cache`), serial, and parallel runs all produce
    byte-for-byte equal results; a hit returns the very arrays a miss
    computed.
-3. **Lifecycle** — configure/clear behave as documented, and
+3. **Lifecycle** — distinct keys, clears and ``dt`` sub-keys behave as
+   documented (read off the ``thermal.*`` counters), and
    the batched steady/coupled solvers agree with their scalar
    references exactly.
 """
@@ -30,8 +31,6 @@ from repro.thermal import (
     ThermalRCNetwork,
     TransientIntegrator,
     clear_thermal_cache,
-    configure_thermal_cache,
-    get_thermal_cache,
     solve_coupled_steady_state,
     solve_coupled_steady_state_batch,
     warm_thermal_cache,
@@ -169,36 +168,48 @@ class TestBitIdentity:
         )
 
 
+def _count_builds(build) -> tuple[int, int]:
+    """``(thermal.factorizations, thermal.cache_hits)`` over ``build()``."""
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        build()
+    snapshot = registry.snapshot()
+    return (
+        snapshot.counter("thermal.factorizations"),
+        snapshot.counter("thermal.cache_hits"),
+    )
+
+
 class TestLifecycle:
     def test_distinct_keys_get_distinct_entries(self, floorplan, small_floorplan):
-        ThermalRCNetwork(floorplan)
-        ThermalRCNetwork(small_floorplan)
-        assert get_thermal_cache().stats()["entries"] == 2
+        def build_both():
+            ThermalRCNetwork(floorplan)
+            ThermalRCNetwork(small_floorplan)
+
+        # Two geometries: two system factorizations, no hit...
+        assert _count_builds(build_both) == (2, 0)
+        # ...and both entries are kept: rebuilding either one hits.
+        assert _count_builds(build_both) == (0, 2)
         assert floorplan_signature(floorplan) != floorplan_signature(
             small_floorplan
         )
 
     def test_clear_empties_entries(self, floorplan):
-        ThermalRCNetwork(floorplan)
-        assert get_thermal_cache().stats()["entries"] == 1
+        assert _count_builds(lambda: ThermalRCNetwork(floorplan)) == (1, 0)
+        assert _count_builds(lambda: ThermalRCNetwork(floorplan)) == (0, 1)
         clear_thermal_cache()
-        assert get_thermal_cache().stats()["entries"] == 0
-
-    def test_lru_bound_holds(self, floorplan, small_floorplan):
-        configure_thermal_cache(max_entries=1)
-        try:
-            ThermalRCNetwork(floorplan)
-            ThermalRCNetwork(small_floorplan)
-            assert get_thermal_cache().stats()["entries"] == 1
-        finally:
-            configure_thermal_cache(max_entries=16)
+        assert _count_builds(lambda: ThermalRCNetwork(floorplan)) == (1, 0)
 
     def test_step_factors_keyed_by_dt(self, floorplan):
         net = ThermalRCNetwork(floorplan)
-        TransientIntegrator(net, dt_s=0.5)
-        TransientIntegrator(net, dt_s=1.0)
-        TransientIntegrator(net, dt_s=0.5)  # hit
-        assert get_thermal_cache().stats()["step_factors"] == 2
+
+        def integrators():
+            TransientIntegrator(net, dt_s=0.5)
+            TransientIntegrator(net, dt_s=1.0)
+            TransientIntegrator(net, dt_s=0.5)  # hit
+
+        # Two step factorizations (one per dt); the repeat hits.
+        assert _count_builds(integrators) == (2, 1)
 
 
 class TestBatchedSolvers:
