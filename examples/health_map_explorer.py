@@ -58,14 +58,15 @@ def main() -> None:
 
     num_on = 32
     requirements = np.full(num_on, 2.5)
+    hayat_dcm, _reserved = variation_aware_dcm(
+        floorplan, num_on, influence, chip.fmax_init_ghz, requirements
+    )
     dcms = {
         "contiguous (naive)": contiguous_dcm(floorplan, num_on),
         "temperature-optimized": temperature_optimized_dcm(
             floorplan, num_on, influence
         ),
-        "variation-aware (Hayat)": variation_aware_dcm(
-            floorplan, num_on, influence, chip.fmax_init_ghz, requirements
-        ),
+        "variation-aware (Hayat)": hayat_dcm,
     }
 
     freq = np.full(64, 2.8)

@@ -41,7 +41,6 @@ from repro.aging import (
     CoreAgingEstimator,
     HealthState,
     NBTIModel,
-    ShortTermNBTI,
     build_aging_table,
 )
 from repro.dtm import DTMPolicy, DTMReport, ProactiveDTMPolicy
@@ -53,8 +52,6 @@ from repro.power import (
     FrequencyLadder,
     LeakageModel,
     PowerModel,
-    TDPBudget,
-    dark_silicon_projection,
 )
 from repro.sim import (
     CampaignResult,
@@ -66,7 +63,6 @@ from repro.sim import (
     run_campaign,
 )
 from repro.thermal import (
-    ExactIntegrator,
     ThermalConfig,
     ThermalPredictor,
     ThermalRCNetwork,
@@ -117,7 +113,6 @@ __all__ = [
     "DutyCycleAssumption",
     "DynamicPowerModel",
     "EpochRecord",
-    "ExactIntegrator",
     "Floorplan",
     "FrequencyLadder",
     "HayatManager",
@@ -135,9 +130,7 @@ __all__ = [
     "PowerModel",
     "ProactiveDTMPolicy",
     "RandomManager",
-    "ShortTermNBTI",
     "SimulationConfig",
-    "TDPBudget",
     "ThermalConfig",
     "ThermalPredictor",
     "ThermalRCNetwork",
@@ -151,7 +144,6 @@ __all__ = [
     "WorkloadMix",
     "build_aging_table",
     "contiguous_dcm",
-    "dark_silicon_projection",
     "evaluate_mapping",
     "generate_population",
     "make_mix",

@@ -16,7 +16,6 @@ from repro.aging.estimator import CoreAgingEstimator
 from repro.aging.tables import AgingTable, build_aging_table
 from repro.aging.health import HealthState
 from repro.aging.monitors import AgingSensor
-from repro.aging.short_term import ShortTermNBTI, StressRecoveryTrace
 
 __all__ = [
     "AgingSensor",
@@ -24,7 +23,5 @@ __all__ = [
     "CoreAgingEstimator",
     "HealthState",
     "NBTIModel",
-    "ShortTermNBTI",
-    "StressRecoveryTrace",
     "build_aging_table",
 ]

@@ -76,26 +76,3 @@ class NBTIModel:
             * duty**DUTY_EXPONENT
         )
         return float(shift) if np.ndim(shift) == 0 else shift
-
-    def equivalent_age_years(self, delta_vth, temp_k, duty):
-        """Invert Eq. 7: the age at which (T, d) stress reaches ``delta_vth``.
-
-        This closed-form inverse is the oracle the table-based
-        "equivalent position in the 3D table" lookup is validated
-        against.  Zero shift maps to zero age; zero duty with a positive
-        shift has no finite answer and returns ``inf``.
-        """
-        delta_vth = np.asarray(delta_vth, dtype=float)
-        duty = np.asarray(duty, dtype=float)
-        if (delta_vth < 0).any():
-            raise ValueError("delta_vth must be non-negative")
-        if (duty < 0).any() or (duty > 1).any():
-            raise ValueError("duty cycle must lie in [0, 1]")
-        rate = self._stress_rate(temp_k) * duty**DUTY_EXPONENT
-        with np.errstate(divide="ignore", invalid="ignore"):
-            age = np.where(
-                delta_vth == 0.0,
-                0.0,
-                np.where(rate > 0.0, (delta_vth / rate) ** 6.0, np.inf),
-            )
-        return float(age) if np.ndim(age) == 0 else age

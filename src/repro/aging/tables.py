@@ -282,15 +282,6 @@ class AgingTable:
     # ------------------------------------------------------------------
     # inverse lookup (the "current position in the 3D table")
     # ------------------------------------------------------------------
-    def _health_curves(self, temp_k, duty) -> np.ndarray:
-        """Bilinear (T, d) blend of the age-axis curves: ``(batch, n_y)``."""
-        temp_k = np.atleast_1d(np.asarray(temp_k, dtype=float))
-        duty = np.atleast_1d(np.asarray(duty, dtype=float))
-        temp_k, duty = np.broadcast_arrays(temp_k, duty)
-        it, ft = _axis_weights(self.temp_grid_k, temp_k, self._temp_spans)
-        idx_d, fd = _axis_weights(self.duty_grid, duty, self._duty_spans)
-        return self._curves_located(it, ft, idx_d, fd)
-
     def _curves_located(self, it, ft, idx_d, fd) -> np.ndarray:
         """Age-axis curves from pre-located (T, d) positions.
 

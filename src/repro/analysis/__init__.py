@@ -20,32 +20,23 @@ from repro.analysis.mttf import (
     mttf_doubling_delta_k,
     relative_mttf,
 )
-from repro.analysis.prognosis import (
-    LifetimePrognosis,
-    fit_health_trend,
-    prognose_lifetime,
-)
 from repro.analysis.render import render_core_map, render_dcm
 from repro.analysis.report import campaign_report, metrics_report
-from repro.analysis.stats import distribution_summary, normalized_box_stats
+from repro.analysis.stats import distribution_summary
 from repro.analysis.tables import format_table
 
 __all__ = [
-    "LifetimePrognosis",
     "acceleration_factor",
     "campaign_report",
     "chip_level_guardband_ghz",
     "core_level_advantage_fraction",
     "distribution_summary",
-    "fit_health_trend",
     "format_table",
     "guardband_loss_fraction",
     "lifetime_at_requirement",
     "lifetime_gain_years",
     "metrics_report",
     "mttf_doubling_delta_k",
-    "normalized_box_stats",
-    "prognose_lifetime",
     "relative_mttf",
     "render_core_map",
     "render_dcm",

@@ -49,10 +49,3 @@ def distribution_summary(values: np.ndarray) -> DistributionSummary:
         maximum=float(values.max()),
         count=int(values.size),
     )
-
-
-def normalized_box_stats(
-    per_chip_values: dict[str, np.ndarray]
-) -> dict[str, DistributionSummary]:
-    """Summaries per policy, as the Fig. 7-10 box plots show them."""
-    return {name: distribution_summary(v) for name, v in per_chip_values.items()}

@@ -13,7 +13,7 @@ per-element aging.  This package provides the equivalents:
 """
 
 from repro.circuit.cells import Cell, CellLibrary, default_library
-from repro.circuit.delay import alpha_power_delay_factor, path_delay_ps
+from repro.circuit.delay import alpha_power_delay_factor
 from repro.circuit.netlist import Gate, Netlist
 from repro.circuit.signalprob import (
     gate_stress_duties,
@@ -31,7 +31,6 @@ __all__ = [
     "alpha_power_delay_factor",
     "default_library",
     "gate_stress_duties",
-    "path_delay_ps",
     "propagate_signal_probabilities",
     "synthesize_core",
 ]

@@ -48,29 +48,3 @@ def alpha_power_delay_factor(
         )
     factor = (overdrive / remaining) ** alpha
     return float(factor) if factor.ndim == 0 else factor
-
-
-def path_delay_ps(
-    unaged_delays_ps: np.ndarray,
-    delta_vths: np.ndarray,
-    vdd: float = 1.13,
-    vth_nominal: float = 0.32,
-    alpha: float = DEFAULT_ALPHA,
-) -> float:
-    """Aged delay of one timing path (Eq. 8).
-
-    Parameters
-    ----------
-    unaged_delays_ps:
-        Un-aged delay of each logic element on the path.
-    delta_vths:
-        NBTI threshold shift of each element (same length).
-    """
-    unaged = np.asarray(unaged_delays_ps, dtype=float)
-    shifts = np.asarray(delta_vths, dtype=float)
-    if unaged.shape != shifts.shape:
-        raise ValueError("delay and shift arrays must align")
-    if (unaged <= 0).any():
-        raise ValueError("un-aged delays must be positive")
-    factors = alpha_power_delay_factor(shifts, vdd, vth_nominal, alpha)
-    return float(np.sum(unaged * factors))

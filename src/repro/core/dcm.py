@@ -13,7 +13,9 @@ analysis (Fig. 2):
   of the fastest cores.
 
 All policies return a :class:`repro.mapping.DarkCoreMap` with exactly
-``num_on`` powered-on cores.
+``num_on`` powered-on cores; :func:`variation_aware_dcm` also returns
+the fast cores it reserved (:func:`select_reserved`), which Hayat then
+power-fences.
 """
 
 from __future__ import annotations
@@ -116,9 +118,8 @@ def variation_aware_dcm(
     required_ghz: np.ndarray,
     health: np.ndarray | None = None,
     core_power_w=4.0,
-    reserve_fraction: float = 0.08,
     balance_threshold: float = 0.15,
-) -> DarkCoreMap:
+) -> tuple[DarkCoreMap, np.ndarray]:
     """Hayat's DCM: thermal spreading + variation awareness (Fig. 2h/p).
 
     Built as a *stable* base spread pattern plus deterministic
@@ -126,7 +127,7 @@ def variation_aware_dcm(
     between epochs (concentrated wear is cheaper than rotation under the
     concave ``y^(1/6)`` aging law), while still:
 
-    * keeping the chip's fastest ``reserve_fraction`` of cores dark
+    * keeping the chip's fastest cores (:func:`select_reserved`) dark
       (health-preserved for critical single-threaded work and
       late-lifetime slack) unless coverage demands them,
     * swapping out cores too slow for even the easiest requirement,
@@ -148,6 +149,9 @@ def variation_aware_dcm(
         or a per-core vector reflecting leakage variation (high-leakage
         cores then pay a larger thermal footprint and tend to stay dark,
         the cherry-picking effect of [26]).
+
+    Returns ``(dcm, reserved)``: the map and the sorted indices of the
+    reserved fast cores.
     """
     _check_num_on(num_on, floorplan.num_cores)
     influence = np.asarray(influence, dtype=float)
@@ -160,13 +164,10 @@ def variation_aware_dcm(
         raise ValueError("fmax_now_ghz must be a flat per-core vector")
     health = np.ones(n) if health is None else np.asarray(health, dtype=float)
 
-    reserved = np.zeros(n, dtype=bool)
-    reserved[
-        select_reserved(fmax_now_ghz, num_on, reserve_fraction, required_ghz)
-    ] = True
+    reserved = select_reserved(fmax_now_ghz, num_on, required_ghz=required_ghz)
     f_easiest = required_ghz[0]
-    useless = fmax_now_ghz < f_easiest
-    blocked = reserved | useless
+    blocked = fmax_now_ghz < f_easiest
+    blocked[reserved] = True
     power = np.broadcast_to(
         np.asarray(core_power_w, dtype=float), (n,)
     )
@@ -217,7 +218,7 @@ def variation_aware_dcm(
             on[fresh] = True
 
     dcm = DarkCoreMap(on)
-    return _repair_coverage(dcm, fmax_now_ghz, required_ghz)
+    return _repair_coverage(dcm, fmax_now_ghz, required_ghz), reserved
 
 
 def _repair_coverage(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.boost import governed_boost
-from repro.core.dcm import select_reserved, variation_aware_dcm
+from repro.core.dcm import variation_aware_dcm
 from repro.core.estimation import DutyCycleAssumption, OnlineHealthEstimator
 from repro.core.mapper import HayatMapper
 from repro.core.weighting import WeightingConfig, WeightingFunction
@@ -138,7 +138,7 @@ class HayatManager:
         # dependent) leakage at operating temperature.  High-leakage
         # cores carry a larger thermal footprint and tend to stay dark.
         core_power_est = 2.5 + 1.9 * ctx.chip.leakage_scale
-        dcm = variation_aware_dcm(
+        dcm, reserved = variation_aware_dcm(
             ctx.floorplan,
             num_on,
             ctx.predictor.influence,
@@ -151,7 +151,6 @@ class HayatManager:
         # Power-fence the reserved fast cores that stayed dark: DTM may
         # not wake them, so their duty cycle remains exactly zero and
         # they age not at all (the "saved for later" cores of Sec. II).
-        reserved = select_reserved(fmax_now, num_on, required_ghz=required)
         dark_reserved = reserved[~dcm.powered_on[reserved]] if reserved.size else reserved
         state.fence(dark_reserved)
         return state, fmax_now, health_now, self._mapper(ctx)

@@ -34,8 +34,3 @@ class CoreGeometry:
     def area_m2(self) -> float:
         """Tile area in m^2 (for thermal conductance calculations)."""
         return self.area_mm2 * 1e-6
-
-    @property
-    def pitch_mm(self) -> tuple[float, float]:
-        """Center-to-center pitch (x, y) assuming abutted tiles."""
-        return (self.width_mm, self.height_mm)

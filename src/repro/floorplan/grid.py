@@ -50,11 +50,6 @@ class Floorplan:
         """Die height (y extent) in mm."""
         return self.rows * self.core.height_mm
 
-    @property
-    def die_area_mm2(self) -> float:
-        """Total die area covered by core tiles, in mm^2."""
-        return self.num_cores * self.core.area_mm2
-
     # ------------------------------------------------------------------
     # index <-> position
     # ------------------------------------------------------------------
@@ -101,15 +96,6 @@ class Floorplan:
             out.append(self.index(row + 1, col))
         return out
 
-    @cached_property
-    def adjacency_matrix(self) -> np.ndarray:
-        """Symmetric boolean ``(num_cores, num_cores)`` 4-connectivity matrix."""
-        adj = np.zeros((self.num_cores, self.num_cores), dtype=bool)
-        for i in range(self.num_cores):
-            for j in self.neighbors(i):
-                adj[i, j] = True
-        return adj
-
     def iter_edges(self) -> Iterator[tuple[int, int]]:
         """Yield each undirected mesh edge ``(i, j)`` with ``i < j`` once."""
         for i in range(self.num_cores):
@@ -122,11 +108,6 @@ class Floorplan:
         ra, ca = self.position(a)
         rb, cb = self.position(b)
         return abs(ra - rb) + abs(ca - cb)
-
-    def is_edge_core(self, core_index: int) -> bool:
-        """True when the core sits on the die boundary."""
-        row, col = self.position(core_index)
-        return row in (0, self.rows - 1) or col in (0, self.cols - 1)
 
     def to_grid(self, values: np.ndarray) -> np.ndarray:
         """Reshape a flat per-core vector into the ``(rows, cols)`` grid."""

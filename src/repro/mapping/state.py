@@ -40,23 +40,9 @@ class DarkCoreMap:
         """Powered-on core count (``N_on``)."""
         return int(self.powered_on.sum())
 
-    @property
-    def num_dark(self) -> int:
-        """Dark (power-gated) core count (``N_off``)."""
-        return self.num_cores - self.num_on
-
-    @property
-    def dark_fraction(self) -> float:
-        """Fraction of the chip that is dark."""
-        return self.num_dark / self.num_cores
-
     def on_indices(self) -> np.ndarray:
         """Indices of powered-on cores."""
         return np.flatnonzero(self.powered_on)
-
-    def dark_indices(self) -> np.ndarray:
-        """Indices of dark cores."""
-        return np.flatnonzero(~self.powered_on)
 
     @classmethod
     def from_on_indices(cls, num_cores: int, on: np.ndarray) -> "DarkCoreMap":
@@ -193,10 +179,6 @@ class ChipState:
         if not 0 <= thread_index < len(self.threads):
             return -1
         return int(self._thread_core[thread_index])
-
-    def mapped_thread_indices(self) -> list[int]:
-        """Thread indices currently placed on some core."""
-        return [int(t) for t in self._assignment[self._assignment >= 0]]
 
     def idle_on_cores(self) -> np.ndarray:
         """Powered-on cores with no thread."""

@@ -46,10 +46,6 @@ class MeshTopology:
         """Directed links as ``(from_node, to_node)`` pairs (copy)."""
         return list(self._links)
 
-    def hop_count(self, src: int, dst: int) -> int:
-        """Manhattan hop distance (XY routes are minimal)."""
-        return self.floorplan.manhattan_distance(src, dst)
-
     @cached_property
     def hop_matrix(self) -> np.ndarray:
         """All-pairs hop counts (read-only: VAA's decision, the NoC

@@ -11,7 +11,6 @@ from repro.power.dynamic import DynamicPowerModel
 from repro.power.dvfs import FrequencyLadder
 from repro.power.leakage import LeakageModel
 from repro.power.model import PowerModel, PowerBreakdown
-from repro.power.tdp import TDPBudget, dark_silicon_projection
 
 __all__ = [
     "DynamicPowerModel",
@@ -19,6 +18,4 @@ __all__ = [
     "LeakageModel",
     "PowerBreakdown",
     "PowerModel",
-    "TDPBudget",
-    "dark_silicon_projection",
 ]

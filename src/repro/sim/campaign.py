@@ -141,34 +141,6 @@ class CampaignResult:
             )
         return np.mean(trajectories, axis=0)
 
-    def mean_lifetime_at_requirement(
-        self, policy: str, required_avg_ghz: float
-    ) -> float:
-        """Population-mean lifetime at a frequency requirement.
-
-        Computed over completed lifetimes (``nan`` when none completed).
-        """
-        lifetimes = [
-            r.lifetime_at_requirement_years(required_avg_ghz)
-            for r in self.results[policy]
-            if r.epochs
-        ]
-        if not lifetimes:
-            return float("nan")
-        return float(np.mean(lifetimes))
-
-    def fleet_aggregates(self, requirement_ghz: float = 1.0):
-        """This campaign folded through the fleet aggregation layer.
-
-        Returns the :class:`repro.sim.fleet.aggregates.FleetAggregates`
-        a ``repro serve`` fleet would report for these same jobs — the
-        identical per-job fold, so one-shot campaigns and the daemon's
-        streaming store agree number for number.
-        """
-        from repro.sim.fleet.aggregates import aggregate_campaign
-
-        return aggregate_campaign(self, requirement_ghz=requirement_ghz)
-
 
 def _distinct_floorplans(population) -> list:
     """One floorplan per distinct thermal signature in the population."""

@@ -28,12 +28,10 @@ from repro.thermal.coupled import (
     solve_coupled_steady_state,
     solve_coupled_steady_state_batch,
 )
-from repro.thermal.exact import ExactIntegrator
 from repro.thermal.predictor import ThermalPredictor
 from repro.thermal.sensors import ThermalSensor
 
 __all__ = [
-    "ExactIntegrator",
     "ThermalComputeCache",
     "ThermalConfig",
     "ThermalPredictor",

@@ -9,28 +9,23 @@ campaigns are reproducible from a single integer seed.
 from repro.util.constants import (
     BOLTZMANN_EV,
     CELSIUS_OFFSET,
-    celsius_to_kelvin,
     kelvin_to_celsius,
     thermal_voltage,
 )
-from repro.util.rng import SeedSequenceFactory, derive_rng
+from repro.util.rng import SeedSequenceFactory
 from repro.util.validation import (
     check_fraction,
     check_positive,
     check_probability_array,
-    check_shape,
 )
 
 __all__ = [
     "BOLTZMANN_EV",
     "CELSIUS_OFFSET",
     "SeedSequenceFactory",
-    "celsius_to_kelvin",
     "check_fraction",
     "check_positive",
     "check_probability_array",
-    "check_shape",
-    "derive_rng",
     "kelvin_to_celsius",
     "thermal_voltage",
 ]

@@ -30,13 +30,6 @@ T_SAFE_KELVIN = 95.0 + CELSIUS_OFFSET
 DTM_HEADROOM_KELVIN = 10.0
 
 
-def celsius_to_kelvin(temp_c):
-    """Convert Celsius to Kelvin (scalar or array)."""
-    if isinstance(temp_c, np.ndarray):
-        return temp_c.astype(float) + CELSIUS_OFFSET
-    return float(temp_c) + CELSIUS_OFFSET
-
-
 def kelvin_to_celsius(temp_k):
     """Convert Kelvin to Celsius (scalar or array)."""
     if isinstance(temp_k, np.ndarray):

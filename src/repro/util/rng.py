@@ -72,8 +72,3 @@ class SeedSequenceFactory:
         """Return a factory whose streams are namespaced under ``key``."""
         sub_seed = int(self.seed_sequence(*key).generate_state(1)[0])
         return SeedSequenceFactory(sub_seed)
-
-
-def derive_rng(seed: int, *key: KeyPart) -> np.random.Generator:
-    """One-shot convenience: ``SeedSequenceFactory(seed).rng(*key)``."""
-    return SeedSequenceFactory(seed).rng(*key)

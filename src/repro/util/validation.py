@@ -9,7 +9,6 @@ a singular matrix three layers down.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -41,16 +40,6 @@ def check_fraction(name: str, value: float, *, inclusive: bool = True) -> float:
         bounds = "[0, 1]" if inclusive else "(0, 1)"
         raise ValueError(f"{name} must lie in {bounds}, got {value!r}")
     return value
-
-
-def check_shape(name: str, array: np.ndarray, shape: Sequence[int]) -> np.ndarray:
-    """Validate the shape of ``array`` and return it as a float ndarray."""
-    array = np.asarray(array, dtype=float)
-    if array.shape != tuple(shape):
-        raise ValueError(
-            f"{name} must have shape {tuple(shape)}, got {array.shape}"
-        )
-    return array
 
 
 def check_probability_array(name: str, array: np.ndarray) -> np.ndarray:

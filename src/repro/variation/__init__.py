@@ -12,7 +12,6 @@ from repro.variation.params import VariationParams
 from repro.variation.correlation import (
     build_covariance,
     exponential_correlation,
-    sample_correlated_field,
 )
 from repro.variation.chip import Chip
 from repro.variation.population import ChipPopulation, generate_population
@@ -24,5 +23,4 @@ __all__ = [
     "build_covariance",
     "exponential_correlation",
     "generate_population",
-    "sample_correlated_field",
 ]

@@ -76,12 +76,3 @@ def bin_population(
     ]
     bins.append(SpeedBin(label="reject", floor_ghz=0.0, chip_indices=tuple(reject)))
     return bins
-
-
-def yield_fraction(bins: list[SpeedBin], min_floor_ghz: float) -> float:
-    """Fraction of the population at or above a frequency floor."""
-    total = sum(b.count for b in bins)
-    if total == 0:
-        raise ValueError("empty population")
-    good = sum(b.count for b in bins if b.floor_ghz >= min_floor_ghz)
-    return good / total

@@ -88,22 +88,3 @@ def draw_correlated_field(
 ) -> np.ndarray:
     """One realization ``mean + factor @ z`` with ``z`` standard normal."""
     return mean + factor @ rng.standard_normal(factor.shape[0])
-
-
-def sample_correlated_field(
-    points_mm: np.ndarray,
-    mean: float,
-    sigma: float,
-    length_mm: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw one realization of the correlated Gaussian field.
-
-    Returns a flat ``(P,)`` vector of process-parameter values.  To draw
-    many fields over one point set, compute
-    :func:`correlated_field_factor` once and call
-    :func:`draw_correlated_field` per field.
-    """
-    return draw_correlated_field(
-        correlated_field_factor(points_mm, sigma, length_mm), mean, rng
-    )

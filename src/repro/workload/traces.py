@@ -141,21 +141,6 @@ class PhaseTrace:
         index = bisect.bisect_right(self._boundaries, time_s) - 1
         return self._levels[index]
 
-    def mean_over(self, start_s: float, end_s: float) -> float:
-        """Time-weighted mean activity over ``[start, end)``."""
-        if end_s <= start_s:
-            raise ValueError("end must exceed start")
-        self._extend_to(end_s)
-        bounds = np.asarray(self._boundaries)
-        levels = np.asarray(self._levels)
-        starts = np.clip(bounds[:-1], start_s, end_s)
-        ends = np.clip(bounds[1:], start_s, end_s)
-        weights = ends - starts
-        total = weights.sum()
-        if total <= 0:
-            return self.activity_at(start_s)
-        return float((levels * weights).sum() / total)
-
 
 def sample_levels(traces: list[PhaseTrace], times_s: np.ndarray) -> np.ndarray:
     """Every trace's activity level at every time, ``(steps, traces)``.

@@ -2,10 +2,8 @@
 
 For piecewise-constant power the RC network's transient has the closed
 form ``T(t) = T_ss + expm(-C^-1 A t) (T(0) - T_ss)``.  This integrator
-is the reference the backward-Euler workhorse is validated against
-(`tests/test_thermal_exact.py`); it is also the better choice when very
-few, very long steps are needed (e.g. jumping straight across a sink
-time constant).
+is the reference the backward-Euler ``TransientIntegrator`` is
+validated against (``tests/test_thermal_exact.py``).
 """
 
 from __future__ import annotations

@@ -1,9 +1,7 @@
-"""Eq. 7 NBTI model: shape, monotonicity, inverse."""
+"""Eq. 7 NBTI model: shape and monotonicity."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.aging import NBTIModel
 
@@ -64,40 +62,3 @@ class TestDeltaVth:
     def test_rejects_nonpositive_temperature(self, model):
         with pytest.raises(ValueError):
             model.delta_vth(0.0, 1.0, 0.5)
-
-
-class TestEquivalentAge:
-    def test_exact_roundtrip(self, model):
-        shift = model.delta_vth(365.0, 7.3, 0.62)
-        age = model.equivalent_age_years(shift, 365.0, 0.62)
-        assert age == pytest.approx(7.3, rel=1e-9)
-
-    def test_zero_shift_zero_age(self, model):
-        assert model.equivalent_age_years(0.0, 358.0, 0.5) == 0.0
-
-    def test_zero_duty_positive_shift_is_infinite(self, model):
-        assert np.isinf(model.equivalent_age_years(0.01, 358.0, 0.0))
-
-    def test_cooler_reference_gives_older_equivalent(self, model):
-        """The same shift takes longer to accumulate at a cooler
-        temperature, so the equivalent age is larger."""
-        shift = model.delta_vth(370.0, 5.0, 0.8)
-        cool_age = model.equivalent_age_years(shift, 340.0, 0.8)
-        assert cool_age > 5.0
-
-    def test_rejects_negative_shift(self, model):
-        with pytest.raises(ValueError):
-            model.equivalent_age_years(-0.1, 358.0, 0.5)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    temp=st.floats(290.0, 430.0),
-    years=st.floats(0.01, 20.0),
-    duty=st.floats(0.01, 1.0),
-)
-def test_property_roundtrip_inverse(temp, years, duty):
-    model = NBTIModel()
-    shift = model.delta_vth(temp, years, duty)
-    recovered = model.equivalent_age_years(shift, temp, duty)
-    assert recovered == pytest.approx(years, rel=1e-6)

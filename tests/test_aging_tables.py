@@ -223,12 +223,16 @@ class TestBracketedInverse:
     """The one-window inverse of ``_ages_located`` (count-table bracket,
     one blended window per element) and the walks built on it must
     reproduce the exhaustive compose
-    ``min(health(T, d, _ages_on_curves(_health_curves(T, d), h) + e), h)``
+    ``min(health(T, d, _ages_on_curves(curves(T, d), h) + e), h)``
     bit for bit."""
 
     def _reference_ages(self, table, temp, duty, health):
-        """Exhaustive path: blend full age curves, invert them."""
-        curves = table._health_curves(temp, duty)
+        """Exhaustive path: blend the full (T, d) age-axis curves
+        bilinearly, ``(batch, n_y)``, then invert them."""
+        temp, duty = np.broadcast_arrays(np.atleast_1d(temp), np.atleast_1d(duty))
+        it, ft = _axis_weights(table.temp_grid_k, temp, table._temp_spans)
+        idx_d, fd = _axis_weights(table.duty_grid, duty, table._duty_spans)
+        curves = table._curves_located(it, ft, idx_d, fd)
         return table._ages_on_curves(curves, np.atleast_1d(health))
 
     def test_random_batches_match_full_curves(self, aging_table):

@@ -6,7 +6,6 @@ import pytest
 from repro.analysis import (
     distribution_summary,
     format_table,
-    normalized_box_stats,
     render_core_map,
     render_dcm,
 )
@@ -64,12 +63,6 @@ class TestStats:
     def test_summary_rejects_empty(self):
         with pytest.raises(ValueError):
             distribution_summary(np.array([]))
-
-    def test_box_stats_per_policy(self):
-        stats = normalized_box_stats(
-            {"vaa": np.ones(5), "hayat": np.full(5, 0.5)}
-        )
-        assert stats["hayat"].mean == pytest.approx(0.5)
 
     def test_row_formatting(self):
         s = distribution_summary(np.array([1.0, 2.0]))

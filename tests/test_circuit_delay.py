@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuit import alpha_power_delay_factor, path_delay_ps
+from repro.circuit import alpha_power_delay_factor
 
 
 class TestDelayFactor:
@@ -34,27 +34,6 @@ class TestDelayFactor:
     def test_rejects_vdd_below_vth(self):
         with pytest.raises(ValueError):
             alpha_power_delay_factor(0.0, vdd=0.3, vth_nominal=0.32)
-
-
-class TestPathDelay:
-    def test_sum_without_aging(self):
-        delays = np.array([10.0, 20.0, 30.0])
-        assert path_delay_ps(delays, np.zeros(3)) == pytest.approx(60.0)
-
-    def test_elementwise_aging(self):
-        delays = np.array([10.0, 10.0])
-        shifts = np.array([0.0, 0.1])
-        aged = path_delay_ps(delays, shifts)
-        expected = 10.0 + 10.0 * alpha_power_delay_factor(0.1)
-        assert aged == pytest.approx(expected)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            path_delay_ps(np.zeros(2) + 1, np.zeros(3))
-
-    def test_rejects_nonpositive_unaged_delay(self):
-        with pytest.raises(ValueError):
-            path_delay_ps(np.array([0.0]), np.array([0.0]))
 
 
 @settings(max_examples=40, deadline=None)

@@ -88,7 +88,7 @@ class TestVariationAware:
     def test_size_and_coverage(self, floorplan, influence, chip):
         fmax = chip.fmax_init_ghz
         required = np.full(32, 2.4)
-        dcm = variation_aware_dcm(floorplan, 32, influence, fmax, required)
+        dcm, _ = variation_aware_dcm(floorplan, 32, influence, fmax, required)
         assert dcm.num_on == 32
         selected = np.sort(fmax[dcm.on_indices()])[::-1]
         assert (selected[:32] >= 2.4).sum() >= (fmax >= 2.4).sum() - 32 or (
@@ -98,7 +98,7 @@ class TestVariationAware:
     def test_keeps_fastest_cores_dark(self, floorplan, influence, chip):
         fmax = chip.fmax_init_ghz
         required = np.full(32, 2.0)  # easy requirements
-        dcm = variation_aware_dcm(floorplan, 32, influence, fmax, required)
+        dcm, _ = variation_aware_dcm(floorplan, 32, influence, fmax, required)
         top = np.argsort(fmax)[::-1][:3]
         assert not dcm.powered_on[top].any()
 
@@ -109,10 +109,10 @@ class TestVariationAware:
         required = np.full(32, 2.2)
         h1 = np.ones(64)
         h2 = np.ones(64) - 0.005 * (np.arange(64) % 2)
-        dcm1 = variation_aware_dcm(
+        dcm1, _ = variation_aware_dcm(
             floorplan, 32, influence, fmax, required, health=h1
         )
-        dcm2 = variation_aware_dcm(
+        dcm2, _ = variation_aware_dcm(
             floorplan, 32, influence, fmax * (1 - 0.002), required, health=h2
         )
         overlap = (dcm1.powered_on & dcm2.powered_on).sum()
@@ -122,11 +122,11 @@ class TestVariationAware:
         """A large health gap retires the most-worn selected core."""
         fmax = chip.fmax_init_ghz
         required = np.full(32, 2.0)
-        base = variation_aware_dcm(floorplan, 32, influence, fmax, required)
+        base, _ = variation_aware_dcm(floorplan, 32, influence, fmax, required)
         health = np.ones(64)
         worn = base.on_indices()[0]
         health[worn] = 0.78  # far beyond the hysteresis threshold
-        dcm = variation_aware_dcm(
+        dcm, _ = variation_aware_dcm(
             floorplan, 32, influence, fmax, required, health=health
         )
         assert not dcm.powered_on[worn]

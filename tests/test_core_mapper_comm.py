@@ -45,7 +45,7 @@ def app_dispersion(state, mesh):
     for cores in by_app.values():
         for i, a in enumerate(cores):
             for b in cores[i + 1 :]:
-                total += mesh.hop_count(a, b)
+                total += mesh.hop_matrix[a, b]
                 pairs += 1
     return total / pairs if pairs else 0.0
 

@@ -67,12 +67,6 @@ class TestNeighbors:
             for j in fp.neighbors(i):
                 assert i in fp.neighbors(j)
 
-    def test_adjacency_matrix_matches_neighbors(self):
-        fp = Floorplan(3, 3)
-        adj = fp.adjacency_matrix
-        assert adj.sum() == sum(len(fp.neighbors(i)) for i in range(9))
-        np.testing.assert_array_equal(adj, adj.T)
-
     def test_edge_count(self):
         # A rows x cols mesh has rows*(cols-1) + cols*(rows-1) edges.
         fp = Floorplan(3, 4)
@@ -99,12 +93,6 @@ class TestGeometry:
         fp = Floorplan(4, 4)
         assert fp.manhattan_distance(0, 15) == 6
         assert fp.manhattan_distance(5, 5) == 0
-
-    def test_is_edge_core(self):
-        fp = Floorplan(4, 4)
-        assert fp.is_edge_core(0)
-        assert fp.is_edge_core(7)
-        assert not fp.is_edge_core(5)
 
     def test_to_grid_roundtrip(self):
         fp = Floorplan(2, 3)

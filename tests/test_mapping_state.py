@@ -22,13 +22,11 @@ class TestDarkCoreMap:
     def test_counts(self):
         dcm = DarkCoreMap.from_on_indices(16, [0, 3, 5])
         assert dcm.num_on == 3
-        assert dcm.num_dark == 13
-        assert dcm.dark_fraction == pytest.approx(13 / 16)
+        assert dcm.num_cores == 16
 
     def test_index_views(self):
         dcm = DarkCoreMap.from_on_indices(4, [1, 2])
         np.testing.assert_array_equal(dcm.on_indices(), [1, 2])
-        np.testing.assert_array_equal(dcm.dark_indices(), [0, 3])
 
     def test_rejects_2d(self):
         with pytest.raises(ValueError):

@@ -42,7 +42,7 @@ class TestRouting:
     def test_route_length_is_hop_count(self, mesh):
         for src in range(16):
             for dst in range(16):
-                assert len(mesh.route(src, dst)) == mesh.hop_count(src, dst)
+                assert len(mesh.route(src, dst)) == mesh.hop_matrix[src, dst]
 
     def test_self_route_empty(self, mesh):
         assert mesh.route(5, 5) == []

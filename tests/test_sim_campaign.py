@@ -100,10 +100,6 @@ class TestCampaign:
         traj = campaign.mean_avg_fmax_trajectory("hayat")
         assert traj.shape == (2,)
 
-    def test_lifetime_summary_runs(self, campaign):
-        value = campaign.mean_lifetime_at_requirement("hayat", 1.0)
-        assert value == pytest.approx(1.0)  # loose requirement -> full span
-
     def test_no_failures_on_clean_campaign(self, campaign):
         assert campaign.failures == []
 
@@ -228,27 +224,3 @@ class TestAggregationEdgeCases:
         )
         with pytest.raises(ValueError, match="inhomogeneous epoch counts"):
             campaign.mean_avg_fmax_trajectory("hayat")
-
-    def test_mean_lifetime_skips_empty_lifetimes(self):
-        campaign = self._campaign(
-            [
-                (synthetic_result("vaa"), synthetic_result("hayat")),
-                (
-                    synthetic_result("vaa", "chip-01"),
-                    synthetic_result("hayat", "chip-01", num_epochs=0),
-                ),
-            ]
-        )
-        value = campaign.mean_lifetime_at_requirement("hayat", 0.1)
-        assert value == pytest.approx(1.0)  # the completed chip's span
-
-    def test_mean_lifetime_all_failed_is_nan(self):
-        campaign = self._campaign(
-            [
-                (
-                    synthetic_result("vaa", num_epochs=0),
-                    synthetic_result("hayat", num_epochs=0),
-                )
-            ]
-        )
-        assert np.isnan(campaign.mean_lifetime_at_requirement("hayat", 1.0))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.floorplan import Floorplan
-from repro.thermal import ExactIntegrator, ThermalRCNetwork, TransientIntegrator
+from repro.thermal import ThermalRCNetwork, TransientIntegrator
+from tests.exact_reference import ExactIntegrator
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.rng import SeedSequenceFactory, derive_rng
+from repro.util.rng import SeedSequenceFactory
 
 
 def test_same_key_same_stream():
@@ -58,9 +58,3 @@ def test_bool_root_seed_rejected():
 def test_float_key_rejected():
     with pytest.raises(TypeError):
         SeedSequenceFactory(1).rng(1.5)
-
-
-def test_derive_rng_matches_factory():
-    a = derive_rng(9, "k").random(4)
-    b = SeedSequenceFactory(9).rng("k").random(4)
-    np.testing.assert_array_equal(a, b)

@@ -9,7 +9,6 @@ from repro.util.validation import (
     check_nonnegative,
     check_positive,
     check_probability_array,
-    check_shape,
 )
 
 
@@ -46,16 +45,6 @@ class TestCheckFraction:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             check_fraction("f", 1.2)
-
-
-class TestCheckShape:
-    def test_accepts_matching(self):
-        out = check_shape("a", np.zeros((2, 3)), (2, 3))
-        assert out.shape == (2, 3)
-
-    def test_rejects_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            check_shape("a", np.zeros(4), (2, 2))
 
 
 class TestCheckProbabilityArray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.variation import generate_population
-from repro.variation.binning import bin_population, chip_grade_ghz, yield_fraction
+from repro.variation.binning import bin_population, chip_grade_ghz
 
 
 @pytest.fixture(scope="module")
@@ -54,14 +54,3 @@ class TestBinning:
     def test_rejects_unsorted_floors(self, pop):
         with pytest.raises(ValueError):
             bin_population(pop, [3.0, 2.8])
-
-
-class TestYield:
-    def test_full_yield_at_zero_floor(self, pop):
-        bins = bin_population(pop, [2.8, 3.0])
-        assert yield_fraction(bins, 0.0) == pytest.approx(1.0)
-
-    def test_yield_decreases_with_floor(self, pop):
-        bins = bin_population(pop, [2.6, 2.9, 3.2])
-        y = [yield_fraction(bins, f) for f in (2.6, 2.9, 3.2)]
-        assert y[0] >= y[1] >= y[2]

@@ -7,9 +7,16 @@ from hypothesis import strategies as st
 
 from repro.variation.correlation import (
     build_covariance,
+    correlated_field_factor,
+    draw_correlated_field,
     exponential_correlation,
-    sample_correlated_field,
 )
+
+
+def sample_field(points_mm, mean, sigma, length_mm, rng):
+    """One field drawn the way a chip draws its parameter map."""
+    factor = correlated_field_factor(points_mm, sigma, length_mm)
+    return draw_correlated_field(factor, mean, rng)
 
 
 class TestExponentialCorrelation:
@@ -56,8 +63,8 @@ class TestBuildCovariance:
 class TestSampleField:
     def test_deterministic_for_seed(self):
         pts = np.random.default_rng(1).uniform(0, 5, (10, 2))
-        a = sample_correlated_field(pts, 1.0, 0.1, 4.0, np.random.default_rng(5))
-        b = sample_correlated_field(pts, 1.0, 0.1, 4.0, np.random.default_rng(5))
+        a = sample_field(pts, 1.0, 0.1, 4.0, np.random.default_rng(5))
+        b = sample_field(pts, 1.0, 0.1, 4.0, np.random.default_rng(5))
         np.testing.assert_array_equal(a, b)
 
     def test_mean_and_std_statistics(self):
@@ -66,7 +73,7 @@ class TestSampleField:
         pts = np.array([[0.0, 0.0], [50.0, 0.0]])  # nearly independent
         rng = np.random.default_rng(3)
         samples = np.array(
-            [sample_correlated_field(pts, 1.0, 0.1, 2.0, rng) for _ in range(4000)]
+            [sample_field(pts, 1.0, 0.1, 2.0, rng) for _ in range(4000)]
         )
         assert samples.mean() == pytest.approx(1.0, abs=0.01)
         assert samples.std() == pytest.approx(0.1, abs=0.01)
@@ -75,7 +82,7 @@ class TestSampleField:
         pts = np.array([[0.0, 0.0], [0.1, 0.0], [40.0, 0.0]])
         rng = np.random.default_rng(4)
         samples = np.array(
-            [sample_correlated_field(pts, 1.0, 0.1, 4.0, rng) for _ in range(2000)]
+            [sample_field(pts, 1.0, 0.1, 4.0, rng) for _ in range(2000)]
         )
         corr = np.corrcoef(samples.T)
         assert corr[0, 1] > 0.95  # 0.1 mm apart, 4 mm correlation length
@@ -90,7 +97,7 @@ class TestSampleField:
 )
 def test_property_sample_finite_and_shaped(sigma, length, seed):
     pts = np.random.default_rng(0).uniform(0, 8, (12, 2))
-    field = sample_correlated_field(
+    field = sample_field(
         pts, 1.0, sigma, length, np.random.default_rng(seed)
     )
     assert field.shape == (12,)

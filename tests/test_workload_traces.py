@@ -49,18 +49,10 @@ class TestValues:
 
     def test_long_run_mean(self):
         trace = make_trace(4, mean=0.6, jitter=0.2, phase=1.0)
-        assert trace.mean_over(0.0, 2000.0) == pytest.approx(0.6, abs=0.03)
-
-
-class TestMeanOver:
-    def test_constant_phase_exact(self):
-        trace = make_trace(6, phase=100.0)
-        level = trace.activity_at(1.0)
-        assert trace.mean_over(0.5, 1.5) == pytest.approx(level)
-
-    def test_rejects_empty_interval(self):
-        with pytest.raises(ValueError):
-            make_trace().mean_over(5.0, 5.0)
+        times = np.arange(0.0, 2000.0, 0.25)
+        trace.extend_to(times[-1])
+        levels = trace.levels_at(times)
+        assert levels.mean() == pytest.approx(0.6, abs=0.03)
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
